@@ -17,7 +17,9 @@
 # concurrency under test) are plain std::threads TSan understands. The
 # slow integration suite stays in the plain tier-1 run. A final run of
 # bench/nn_kernels gates the kernel speedups against the committed
-# bench/BASELINE_kernels.json.
+# bench/BASELINE_kernels.json. Before the sanitizer stages, bench/e2e/run.sh
+# --check replays every end-to-end benchmark workload with and without its
+# layer probes and requires identical results.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +62,14 @@ echo "== runtime scale smoke =="
 # pre-calendar O(tenants) scan) or if any 2-shard stolen run diverges from
 # the 1-shard replay.
 ./build/bench/runtime_scale --max-tenants 10000 --out /tmp/deepbat_scale.json
+
+echo "== e2e probe-transparency check =="
+# End-to-end benchmark smoke (bench/e2e/README.md): builds the benchmark
+# into build-bench/, trains or loads its surrogate in .bench-cache/, and
+# replays the first 300 s of every workload bare, with layer probes, and
+# with probes recording spans; exits non-zero unless all three are
+# bit-identical and every output check passes.
+bench/e2e/run.sh --check
 
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="

@@ -205,16 +205,20 @@ void SequenceEncoder::restore_state(sim::CheckpointReader& r) {
 GridScorer::GridScorer(const Surrogate& surrogate,
                        std::vector<lambda::Config> configs,
                        ScoringPrecision precision)
-    : surrogate_(&surrogate), configs_(std::move(configs)) {
+    : surrogate_(&surrogate),
+      configs_(std::move(configs)),
+      precision_(precision) {
   DEEPBAT_CHECK(!configs_.empty(), "GridScorer: empty config grid");
-  // Feature branch + head-weight slices (+ quantized images) are computed
-  // once here; score() only runs the per-tick fused pass.
-  cache_ = surrogate_->make_scoring_cache(configs_, precision);
+}
+
+GridScoringCache& GridScorer::ensure_cache() const {
+  if (!cache_) cache_ = surrogate_->make_scoring_cache(configs_, precision_);
+  return *cache_;
 }
 
 std::span<const PredictionTarget> GridScorer::score(
     std::span<const float> e1) const {
-  surrogate_->predict_grid_from_e1_batch(e1, 1, cache_, scored_);
+  surrogate_->predict_grid_from_e1_batch(e1, 1, ensure_cache(), scored_);
   return scored_;
 }
 
@@ -231,14 +235,14 @@ std::span<const PredictionTarget> GridScorer::unpack(
 }
 
 void GridScorer::calibrate(std::span<const float> windows, std::size_t count) {
-  surrogate_->calibrate_scoring_cache(cache_, windows, count);
+  surrogate_->calibrate_scoring_cache(ensure_cache(), windows, count);
 }
 
 void GridScorer::rebind(const Surrogate& surrogate) {
   DEEPBAT_CHECK(surrogate.config().model_dim == surrogate_->config().model_dim,
                 "GridScorer: rebound surrogate changes the encoding dim");
   surrogate_ = &surrogate;
-  cache_ = surrogate_->make_scoring_cache(configs_, cache_.precision());
+  cache_.reset();
 }
 
 // ---------------------------------------------------------------- engine --

@@ -126,9 +126,11 @@ class SequenceEncoder {
 /// Stage 3 — per-config scoring off one E_1 row (the millisecond path the
 /// paper's §IV-F speedup rests on). Holds a GridScoringCache so the feature
 /// branch, head-weight slices, and (for reduced precisions) the quantized
-/// weight images are computed once at construction instead of per tick, and
-/// a PredictionTarget scratch buffer so steady-state scoring allocates
-/// nothing (DESIGN.md §12).
+/// weight images are computed once instead of per tick, and a
+/// PredictionTarget scratch buffer so steady-state scoring allocates nothing
+/// (DESIGN.md §12). The cache is built on the first score() or calibrate():
+/// a controller whose runtime scores its grid in the shared fused pass only
+/// ever calls unpack() and never pays for one.
 class GridScorer {
  public:
   GridScorer(const Surrogate& surrogate, std::vector<lambda::Config> configs,
@@ -149,18 +151,25 @@ class GridScorer {
 
   /// Point the scorer at a new surrogate version (learn/ hot-swap): the
   /// precomputed feature branch / head slices / quantized images all came
-  /// from the old weights, so the scoring cache is rebuilt from scratch at
-  /// the same precision. Any int8 calibration is recomputed implicitly.
+  /// from the old weights, so the scoring cache is dropped and rebuilt at
+  /// the same precision on the next score() or calibrate(). An int8
+  /// calibration is dropped with it (the int8 path then quantizes
+  /// activations dynamically per row until calibrated again).
   void rebind(const Surrogate& surrogate);
 
   const std::vector<lambda::Config>& configs() const { return configs_; }
-  ScoringPrecision precision() const { return cache_.precision(); }
-  const GridScoringCache& cache() const { return cache_; }
+  ScoringPrecision precision() const { return precision_; }
 
  private:
+  /// The scoring cache, built on first use. A scorer belongs to one
+  /// controller, which only one runtime shard drives at a time, so the
+  /// lazy build in a const call needs no synchronization.
+  GridScoringCache& ensure_cache() const;
+
   const Surrogate* surrogate_;  // rebindable (hot-swap); never null
   std::vector<lambda::Config> configs_;
-  GridScoringCache cache_;
+  ScoringPrecision precision_;
+  mutable std::optional<GridScoringCache> cache_;
   mutable std::vector<PredictionTarget> scored_;  // reused across ticks
 };
 

@@ -3,14 +3,24 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "nn/arena.hpp"
 #include "nn/kernels.hpp"
 
 namespace deepbat::core {
 
 namespace {
+
+// Per-thread scratch of the exact fp32 grid score, reused across calls:
+// one tenant's E_1 row repeated over a kMr tile, the E_1 half of its head
+// fc1 sums, and its [grid, hidden] activations. Every element is written
+// before it is read.
+thread_local std::vector<float> tl_score_e1_tile;
+thread_local std::vector<float> tl_score_e1_half;
+thread_local std::vector<float> tl_score_hidden;
 
 nn::TransformerConfig encoder_config(const SurrogateConfig& cfg) {
   nn::TransformerConfig tc;
@@ -141,8 +151,33 @@ nn::Var Surrogate::forward(const nn::Var& sequences, const nn::Var& features) {
 
 nn::Tensor Surrogate::encode_sequence(const nn::Tensor& sequences) const {
   nn::NoGradGuard no_grad;  // also forces dropout off (Dropout::is_active)
-  nn::Var x = nn::make_leaf(sequences, false, "sequences");
-  return sequence_branch(x)->value;
+  DEEPBAT_CHECK(sequences.ndim() == 3 && sequences.dim(2) == 1,
+                "Surrogate: sequences must be [batch, l, 1]");
+  // Recording attention keeps one forward over the whole batch, so
+  // last_attention_profile() averages over every window of it.
+  if (config_.encoder != EncoderType::kLstm &&
+      encoder_.layer(0).self_attention().record_attention()) {
+    return sequence_branch(nn::make_leaf(sequences, false, "sequences"))
+        ->value;
+  }
+  // Tile by tile, each tile's activations rewound with its own arena scope,
+  // so every op of the forward works on a cache-resident working set.
+  const std::int64_t batch = sequences.dim(0);
+  const std::int64_t l = sequences.dim(1);
+  const std::int64_t d = config_.model_dim;
+  nn::Tensor out({batch, d});
+  for (std::int64_t t0 = 0; t0 < batch; t0 += kEncodeTile) {
+    const std::int64_t rows = std::min(kEncodeTile, batch - t0);
+    nn::arena::Scope scope;
+    nn::Tensor tile({rows, l, 1});
+    std::copy(sequences.data() + t0 * l, sequences.data() + (t0 + rows) * l,
+              tile.data());
+    const nn::Tensor e1 =
+        sequence_branch(nn::make_leaf(std::move(tile), false, "sequences"))
+            ->value;
+    std::copy(e1.data(), e1.data() + rows * d, out.data() + t0 * d);
+  }
+  return out;
 }
 
 nn::Tensor Surrogate::predict_with_features(
@@ -214,7 +249,6 @@ GridScoringCache Surrogate::make_scoring_cache(
     const nn::Tensor& w1 = output_ff_.fc1().weight()->value;  // [d + fe, h]
     DEEPBAT_CHECK(w1.dim(0) == d + fe && w1.dim(1) == h,
                   "make_scoring_cache: head fc1 shape mismatch");
-    cache.w1_ = w1.clone();
     cache.w1_top_ = nn::Tensor({d, h});
     std::memcpy(cache.w1_top_.data(), w1.data(),
                 static_cast<std::size_t>(d * h) * sizeof(float));
@@ -320,48 +354,66 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
   if (R == 0) return;
   nn::NoGradGuard no_grad;
   nn::arena::Scope scope;
-  const std::int64_t rows = R * n;
 
-  nn::Tensor hidden({rows, h});
-  float* hp = hidden.data();
   if (cache.precision_ == ScoringPrecision::kFp32) {
-    // Exact path: materialize the concat(E_1, E_2) matrix and run the SAME
-    // full-k GEMM the composed autograd head runs (matmul collapses to one
-    // kernels::gemm call), so every hidden element reproduces the composed
-    // path's l-sequential accumulation bit-for-bit. Splitting the product
-    // into an E_1-half and an E_2-half GEMM would route the halves through
-    // different micro-kernel variants and can differ in the last ulp —
-    // enough to flip a borderline feasibility decision under a tightened
-    // SLO. What the fused pass still saves per tick: the feature branch
-    // (E_2 is cached), the per-call cache rebuild, and the per-tenant
-    // dispatch — and it batches all tenants into one pass.
-    nn::Tensor x({rows, d + fe});
-    for (std::int64_t r = 0; r < R; ++r) {
-      const float* e1_row = e1_rows.data() + r * d;
-      for (std::int64_t i = 0; i < n; ++i) {
-        float* xrow = x.data() + (r * n + i) * (d + fe);
-        std::memcpy(xrow, e1_row, static_cast<std::size_t>(d) * sizeof(float));
-        std::memcpy(xrow + d, cache.e2_.data() + i * fe,
-                    static_cast<std::size_t>(fe) * sizeof(float));
-      }
-    }
-    nn::kernels::gemm(x.data(), cache.w1_.data(), hp, rows, d + fe, h, false,
-                      false, false);
+    // Exact path, tenant by tenant. The composed head runs head fc1 as one
+    // gemm over concat(E_1, E_2), and the kernel builds every hidden element
+    // as one l-sequential FMA chain: the E_1 terms, then the E_2 terms. That
+    // chain is split here without changing a bit: its E_1 half depends only
+    // on the tenant, so it runs once per tenant, in a full kMr tile (the
+    // same register-tile code the concat rows run in); every grid row then
+    // continues the carried partial sums over its E_2 terms through
+    // gemm(..., accumulate=true), which resumes the chain from C. No concat
+    // matrix is built, and the E_1 half is not recomputed per config.
+    // Tenants are independent, so they run in parallel: each GEMM below is
+    // too small to split across threads on its own.
+    constexpr std::int64_t kMr = nn::kernels::kMr;
     const float* b1 = cache.b1_.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = hp + r * h;
-      for (std::int64_t j = 0; j < h; ++j) {
-        const float v = row[j] + b1[j];
-        row[j] = v > 0.0F ? v : 0.0F;
-      }
-    }
-    nn::kernels::gemm(hp, cache.w2_.data(), out.data(), rows, h, o, false,
-                      false, false);
     const float* b2 = cache.b2_.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = out.data() + r * o;
-      for (std::int64_t j = 0; j < o; ++j) row[j] += b2[j];
-    }
+    parallel_for(
+        static_cast<std::size_t>(R),
+        [&](std::size_t tenant) {
+          const auto r = static_cast<std::int64_t>(tenant);
+          auto& e1_tile = tl_score_e1_tile;
+          auto& e1_half = tl_score_e1_half;
+          auto& hidden = tl_score_hidden;
+          if (e1_tile.size() < static_cast<std::size_t>(kMr * d)) {
+            e1_tile.resize(kMr * d);
+          }
+          if (e1_half.size() < static_cast<std::size_t>(kMr * h)) {
+            e1_half.resize(kMr * h);
+          }
+          if (hidden.size() < static_cast<std::size_t>(n * h)) {
+            hidden.resize(n * h);
+          }
+          const float* e1_row = e1_rows.data() + r * d;
+          for (std::int64_t t = 0; t < kMr; ++t) {
+            std::copy(e1_row, e1_row + d, e1_tile.data() + t * d);
+          }
+          nn::kernels::gemm(e1_tile.data(), cache.w1_top_.data(),
+                            e1_half.data(), kMr, d, h, false, false, false);
+          float* hp = hidden.data();
+          for (std::int64_t i = 0; i < n; ++i) {
+            std::copy(e1_half.data(), e1_half.data() + h, hp + i * h);
+          }
+          nn::kernels::gemm(cache.e2_.data(), cache.w1_bot_.data(), hp, n, fe,
+                            h, false, false, true);
+          for (std::int64_t i = 0; i < n; ++i) {
+            float* row = hp + i * h;
+            for (std::int64_t j = 0; j < h; ++j) {
+              const float v = row[j] + b1[j];
+              row[j] = v > 0.0F ? v : 0.0F;
+            }
+          }
+          float* tenant_out = out.data() + r * n * o;
+          nn::kernels::gemm(hp, cache.w2_.data(), tenant_out, n, h, o, false,
+                            false, false);
+          for (std::int64_t i = 0; i < n; ++i) {
+            float* row = tenant_out + i * o;
+            for (std::int64_t j = 0; j < o; ++j) row[j] += b2[j];
+          }
+        },
+        1);
     return;
   }
 
@@ -370,6 +422,9 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
   // ReLU; only the per-config output GEMM runs quantized. The live half of
   // head fc1 — U = E_1 @ W1_top, [R, h] — stays fp32 at every precision:
   // it is O(tenants), not O(tenants * grid).
+  const std::int64_t rows = R * n;
+  nn::Tensor hidden({rows, h});
+  float* hp = hidden.data();
   nn::Tensor u({R, h});
   nn::kernels::gemm(e1_rows.data(), cache.w1_top_.data(), u.data(), R, d, h,
                     false, false, false);

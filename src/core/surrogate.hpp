@@ -64,6 +64,17 @@ struct FeatureStandardizer {
   nn::Tensor apply(const nn::Tensor& raw) const;
 };
 
+/// Windows per tile of Surrogate::encode_sequence (DESIGN.md §7): a batch
+/// runs through the sequence branch this many windows at a time, so
+/// each op's activations stay cache-resident instead of streaming through
+/// memory. Chosen by measurement (l = 128, 470 windows, one thread).
+/// Bit-neutral: every op of the branch is row-local, and the GEMM kernels
+/// give each output row the same accumulation chain wherever it sits in the
+/// batch (the contract the runtime's batched encode already rests on), so a
+/// window's E_1 does not depend on the tile it lands in. A multiple of
+/// kernels::kMr, so a full tile's GEMMs run whole register tiles only.
+inline constexpr std::int64_t kEncodeTile = 4;
+
 /// Arithmetic used by the fused grid-scoring pass (DESIGN.md §12).
 ///   kFp32 — exact: bit-identical to the composed autograd head, any batch.
 ///   kFp16 — the per-config GEMM runs on binary16-stored weights (fp32
@@ -112,8 +123,6 @@ class GridScoringCache {
   std::int64_t n_ = 0;       // grid size
   nn::Tensor features_;      // [n, feature_dim] raw
   nn::Tensor e2_;            // [n, feature_embed_dim] feature-branch output
-  nn::Tensor w1_;            // [model_dim + feature_embed_dim, hidden]:
-                             // full head fc1, for the exact fp32 concat GEMM
   nn::Tensor w1_top_;        // [model_dim, hidden]: E_1 half of head fc1
   nn::Tensor w1_bot_;        // [feature_embed_dim, hidden]: E_2 half
   nn::Tensor b1_;            // [hidden]
@@ -122,8 +131,8 @@ class GridScoringCache {
   /// E_2 @ w1_bot + b1, cached for the reduced-precision paths: the feature
   /// half of the first head layer is constant across tenants AND ticks, so
   /// they only recompute the E_1 half per tick. (The exact fp32 path
-  /// re-accumulates it instead, to preserve the composed path's summation
-  /// order bit-for-bit.)
+  /// accumulates the E_2 half onto each tenant's E_1 half instead, to keep
+  /// the composed path's summation order bit-for-bit.)
   nn::Tensor h_feat_;        // [n, hidden]
   nn::QuantizedMatrix w2_q_;  // int8 image of w2_
   nn::HalfMatrix w2_h_;       // fp16 image of w2_
@@ -143,7 +152,9 @@ class Surrogate : public nn::Module {
   /// Sequence branch only: [batch, l, 1] -> pooled E_1 values [batch, d].
   /// Runs under NoGradGuard (no gradient tracking, dropout off), so it is
   /// callable on a const model; used by the online optimizer and the
-  /// multi-tenant runtime's shared batched encoder.
+  /// multi-tenant runtime's shared batched encoder. Row r is bitwise the
+  /// encoding of window r alone; the batch runs kEncodeTile windows at a
+  /// time, or in one forward while attention is being recorded.
   nn::Tensor encode_sequence(const nn::Tensor& sequences) const;
 
   /// Head only: E_1 rows [n, d] (typically one row broadcast n times) +

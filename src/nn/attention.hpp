@@ -25,6 +25,7 @@ class MultiHeadAttention : public Module {
   /// When enabled, forward() stores a copy of the post-softmax attention
   /// tensor ([B, H, Lq, Lk]) retrievable via last_attention().
   void set_record_attention(bool record) { record_attention_ = record; }
+  bool record_attention() const { return record_attention_; }
   const std::optional<Tensor>& last_attention() const {
     return last_attention_;
   }

@@ -4,11 +4,25 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
+
+// fused_sdpa's vectorised head_dim-4 pass (DESIGN.md §7) is built where the
+// generic row loop's `::expf` vectorises to glibc libmvec's 16-lane AVX-512
+// variant: x86-64 AVX-512 builds with glibc, under GCC (src/nn/CMakeLists.txt
+// enables the simd declarations for this file there).
+#if defined(__AVX512F__) && defined(__x86_64__) && defined(__GLIBC__) && \
+    defined(__GNUC__) && !defined(__clang__)
+#define DEEPBAT_SDPA_DH4_AVX512 1
+#include <immintrin.h>
+// libmvec's unmasked 16-lane expf, by its x86-64 vector-ABI name: the
+// function GCC calls for the generic loop's `::expf` on this ISA.
+extern "C" __m512 _ZGVeN16v_expf(__m512 x);
+#endif
 
 namespace deepbat::nn::kernels {
 
@@ -463,11 +477,179 @@ void gemm(const float* A, const float* B, float* C, std::int64_t m,
 
 namespace {
 
+/// Query rows per block of fused_sdpa's vectorised pass: three rows' five
+/// lane-order sums (softmax sum + four context columns) fill one 16-lane
+/// transpose.
+constexpr std::int64_t kSdpaRows = 3;
+
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+
+/// In-register 16 x 16 transpose: afterwards a[l] holds lane l of every
+/// input vector, input vector c in lane c.
+inline void transpose16(__m512 a[16]) {
+  __m512 t[16];
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_ps(a[i], a[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(a[i], a[i + 1]);
+  }
+  for (int i = 0; i < 16; i += 4) {
+    const __m512d t0 = _mm512_castps_pd(t[i]);
+    const __m512d t1 = _mm512_castps_pd(t[i + 1]);
+    const __m512d t2 = _mm512_castps_pd(t[i + 2]);
+    const __m512d t3 = _mm512_castps_pd(t[i + 3]);
+    a[i] = _mm512_castpd_ps(_mm512_unpacklo_pd(t0, t2));
+    a[i + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(t0, t2));
+    a[i + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(t1, t3));
+    a[i + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(t1, t3));
+  }
+  for (int i = 0; i < 4; ++i) {
+    t[i] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0x88);
+    t[i + 4] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0xdd);
+    t[i + 8] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0x88);
+    t[i + 12] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0xdd);
+  }
+  for (int i = 0; i < 4; ++i) {
+    a[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
+    a[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
+    a[i + 4] = _mm512_shuffle_f32x4(t[i + 4], t[i + 12], 0x88);
+    a[i + 12] = _mm512_shuffle_f32x4(t[i + 4], t[i + 12], 0xdd);
+  }
+}
+
+// GCC 12 reports the self-initialised _mm512_undefined_ps() inside
+// _mm512_max_ps as maybe-uninitialized; the unmasked max never reads it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// The vectorised pass structure for head_dim 4, lk % 16 == 0, no mask:
+/// R query rows (starting at qb / ob, row stride `dim`) against the packed
+/// [4, lk] K^T / V^T panels of one (batch, head) task; `srow` holds R * lk
+/// floats. Each row reproduces the generic row loop's arithmetic op for op,
+/// so the output is bitwise the same:
+///   1. scores: q0*k0 then three FMAs (the generic loop's `srow += qd*ktd`
+///      contracts to an FMA), with a lane-wise max;
+///   2. the max lanes folded with std::max in lane order, as the generic
+///      loop folds its lane array;
+///   3. expf(s - max) through the same libmvec call, 16 lanes at a time;
+///   4. one pass accumulating the softmax sum and the four context columns
+///      as 16 lane partials each, then every partial vector summed in lane
+///      order onto 0.0F — the epilogue GCC emits for the generic loop's
+///      16-wide `omp simd reduction` loops. The 5 * R lane-order sums run
+///      together: a transpose puts sum c in lane c, and 16 vector adds
+///      accumulate lanes 0..15 in order.
+/// Rows are independent, so blocking R of them only overlaps their latency
+/// chains.
+template <int R>
+void sdpa_block_dh4(const float* qb, const float* kt, const float* vt,
+                    float* ob, float* srow, std::int64_t lk, std::int64_t dim,
+                    float scale) {
+  static_assert(R >= 1 && 5 * R <= 16, "the sums must fit one transpose");
+  const float* k[4] = {kt, kt + lk, kt + 2 * lk, kt + 3 * lk};
+  const float* v[4] = {vt, vt + lk, vt + 2 * lk, vt + 3 * lk};
+  __m512 q[R][4];
+  __m512 mxv[R];
+  for (int r = 0; r < R; ++r) {
+    for (int d = 0; d < 4; ++d) {
+      q[r][d] = _mm512_set1_ps(qb[r * dim + d] * scale);
+    }
+    mxv[r] = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  }
+  for (std::int64_t j = 0; j < lk; j += 16) {
+    const __m512 k0 = _mm512_loadu_ps(k[0] + j);
+    const __m512 k1 = _mm512_loadu_ps(k[1] + j);
+    const __m512 k2 = _mm512_loadu_ps(k[2] + j);
+    const __m512 k3 = _mm512_loadu_ps(k[3] + j);
+    for (int r = 0; r < R; ++r) {
+      __m512 s = _mm512_mul_ps(q[r][0], k0);
+      s = _mm512_fmadd_ps(q[r][1], k1, s);
+      s = _mm512_fmadd_ps(q[r][2], k2, s);
+      s = _mm512_fmadd_ps(q[r][3], k3, s);
+      _mm512_storeu_ps(srow + r * lk + j, s);
+      mxv[r] = _mm512_max_ps(s, mxv[r]);  // std::max(lane, s)
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    alignas(64) float lanes[16];
+    _mm512_store_ps(lanes, mxv[r]);
+    float mx = lanes[0];
+    for (int l = 1; l < 16; ++l) mx = std::max(mx, lanes[l]);
+    const __m512 mxb = _mm512_set1_ps(mx);
+    float* sr = srow + r * lk;
+    for (std::int64_t j = 0; j < lk; j += 16) {
+      const __m512 x = _mm512_sub_ps(_mm512_loadu_ps(sr + j), mxb);
+      _mm512_storeu_ps(sr + j, _ZGVeN16v_expf(x));
+    }
+  }
+  // acc[5r] is row r's softmax sum, acc[5r + 1 + d] its context column d.
+  __m512 acc[16];
+  for (__m512& a : acc) a = _mm512_setzero_ps();
+  for (std::int64_t j = 0; j < lk; j += 16) {
+    const __m512 v0 = _mm512_loadu_ps(v[0] + j);
+    const __m512 v1 = _mm512_loadu_ps(v[1] + j);
+    const __m512 v2 = _mm512_loadu_ps(v[2] + j);
+    const __m512 v3 = _mm512_loadu_ps(v[3] + j);
+    for (int r = 0; r < R; ++r) {
+      const __m512 e = _mm512_loadu_ps(srow + r * lk + j);
+      __m512* a = acc + 5 * r;
+      a[0] = _mm512_add_ps(a[0], e);
+      a[1] = _mm512_fmadd_ps(e, v0, a[1]);
+      a[2] = _mm512_fmadd_ps(e, v1, a[2]);
+      a[3] = _mm512_fmadd_ps(e, v2, a[3]);
+      a[4] = _mm512_fmadd_ps(e, v3, a[4]);
+    }
+  }
+  transpose16(acc);
+  __m512 total = _mm512_setzero_ps();
+  for (const __m512& lane : acc) total = _mm512_add_ps(total, lane);
+  alignas(64) float sums[16];
+  _mm512_store_ps(sums, total);
+  for (int r = 0; r < R; ++r) {
+    const float inv = 1.0F / sums[5 * r];
+    for (int d = 0; d < 4; ++d) ob[r * dim + d] = sums[5 * r + 1 + d] * inv;
+  }
+}
+
+#pragma GCC diagnostic pop
+
+/// Every query row of one (batch, head) task through sdpa_block_dh4.
+void sdpa_rows_dh4(const float* qb, const float* kt, const float* vt,
+                   float* ob, float* srow, std::int64_t lq, std::int64_t lk,
+                   std::int64_t dim, float scale) {
+  std::int64_t i = 0;
+  for (; i + kSdpaRows <= lq; i += kSdpaRows) {
+    sdpa_block_dh4<kSdpaRows>(qb + i * dim, kt, vt, ob + i * dim, srow, lk,
+                              dim, scale);
+  }
+  for (; i < lq; ++i) {
+    sdpa_block_dh4<1>(qb + i * dim, kt, vt, ob + i * dim, srow, lk, dim,
+                      scale);
+  }
+}
+#endif
+
+/// Which row loop fused_sdpa_impl runs: kAuto takes the vectorised pass
+/// where the shape allows it and this build reproduces the generic loop
+/// with it; the other two force a loop (the build's probe and tests).
+enum class SdpaPass { kAuto, kGeneric, kVectorised };
+
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+bool sdpa_pass_matches_generic_loop();
+#endif
+
 void fused_sdpa_impl(const float* q, const float* k, const float* v,
                      float* out, std::int64_t batch, std::int64_t lq,
                      std::int64_t lk, std::int64_t heads, std::int64_t dim,
-                     float scale, const float* mask) {
+                     float scale, const float* mask, SdpaPass pass) {
   const std::int64_t dh = dim / heads;
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+  const bool fast = pass != SdpaPass::kGeneric && dh == 4 && lk % 16 == 0 &&
+                    mask == nullptr &&
+                    (pass == SdpaPass::kVectorised ||
+                     sdpa_pass_matches_generic_loop());
+#else
+  (void)pass;
+  constexpr bool fast = false;
+#endif
   const std::int64_t tasks = batch * heads;
   // ~4 flops per (i, j, d) triple: QK^T dot plus the PV accumulation.
   const std::int64_t flops_per_task = 4 * lq * lk * dh;
@@ -481,7 +663,9 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
         auto& row = tl_sdpa_row;
         auto& kt = tl_sdpa_kt;
         auto& vt = tl_sdpa_vt;
-        if (row.size() < static_cast<std::size_t>(lk)) row.resize(lk);
+        // The vectorised pass keeps a score row per query row of a block.
+        const std::int64_t row_len = fast ? kSdpaRows * lk : lk;
+        if (row.size() < static_cast<std::size_t>(row_len)) row.resize(row_len);
         const auto panel = static_cast<std::size_t>(dh * lk);
         if (kt.size() < panel) kt.resize(panel);
         if (vt.size() < panel) vt.resize(panel);
@@ -499,6 +683,13 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
             vtd[j] = vb[j * dim + d];
           }
         }
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+        if (fast) {
+          sdpa_rows_dh4(qb, kt.data(), vt.data(), ob, row.data(), lq, lk, dim,
+                        scale);
+          return;
+        }
+#endif
         for (std::int64_t i = 0; i < lq; ++i) {
           const float* qi = qb + i * dim;
           float* srow = row.data();
@@ -561,6 +752,51 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
       grain);
 }
 
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+/// Whether this build's generic row loop is the one the vectorised pass
+/// reproduces. It is when GCC vectorises the loop 16 wide on 512-bit vectors
+/// with libmvec's expf, as -O2/-O3 -march=native builds do on AVX-512 hosts;
+/// -O0/-O1, ASan or UBSan instrumentation and 256-bit vector tuning compile
+/// it differently, and the two would differ.
+/// Decided once per process from a fixed probe, so a build either always or
+/// never takes the pass and fused_sdpa's bits never depend on which loop
+/// ran. The probe's query rows range from near-flat softmax rows (where the
+/// summation order shows in the last bits) to rows whose scores span expf's
+/// underflow range (libmvec's special-case lanes).
+bool sdpa_pass_matches_generic_loop() {
+  static const bool matches = [] {
+    constexpr std::int64_t kBatch = 2, kLq = 4, kLk = 64, kHeads = 4;
+    constexpr std::int64_t kDim = 16;
+    std::vector<float> q(static_cast<std::size_t>(kBatch * kLq * kDim));
+    std::vector<float> k(static_cast<std::size_t>(kBatch * kLk * kDim));
+    std::vector<float> v(k.size());
+    std::uint32_t state = 0x9E3779B9U;  // xorshift32: values in [-1, 1)
+    const auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 17;
+      state ^= state << 5;
+      return static_cast<float>(state >> 8) / 8388608.0F - 1.0F;
+    };
+    constexpr float kRowScale[kLq] = {0.5F, 4.0F, 32.0F, 128.0F};
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      q[i] = kRowScale[(i / kDim) % kLq] * next();
+    }
+    for (float& e : k) e = next();
+    for (float& e : v) e = next();
+    std::vector<float> vectorised(q.size());
+    std::vector<float> generic(q.size());
+    fused_sdpa_impl(q.data(), k.data(), v.data(), vectorised.data(), kBatch,
+                    kLq, kLk, kHeads, kDim, 0.5F, nullptr,
+                    SdpaPass::kVectorised);
+    fused_sdpa_impl(q.data(), k.data(), v.data(), generic.data(), kBatch, kLq,
+                    kLk, kHeads, kDim, 0.5F, nullptr, SdpaPass::kGeneric);
+    return std::memcmp(vectorised.data(), generic.data(),
+                       vectorised.size() * sizeof(float)) == 0;
+  }();
+  return matches;
+}
+#endif
+
 }  // namespace
 
 void fused_sdpa(const float* q, const float* k, const float* v, float* out,
@@ -568,15 +804,37 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask) {
   if (!obs::enabled()) {
-    fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask);
+    fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask,
+                    SdpaPass::kAuto);
     return;
   }
   const auto start = std::chrono::steady_clock::now();
-  fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask);
+  fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask,
+                  SdpaPass::kAuto);
   sdpa_hist().observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
 }
+
+namespace detail {
+
+bool fused_sdpa_has_fast_path() {
+#ifdef DEEPBAT_SDPA_DH4_AVX512
+  return sdpa_pass_matches_generic_loop();
+#else
+  return false;
+#endif
+}
+
+void fused_sdpa_generic(const float* q, const float* k, const float* v,
+                        float* out, std::int64_t batch, std::int64_t lq,
+                        std::int64_t lk, std::int64_t heads, std::int64_t dim,
+                        float scale, const float* mask) {
+  fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask,
+                  SdpaPass::kGeneric);
+}
+
+}  // namespace detail
 
 // Same -O3 loop-vectorizer pathology as the skinny float tiles above (and
 // integer accumulation is order-independent anyway, so there is not even a

@@ -52,10 +52,28 @@ void gemm(const float* A, const float* B, float* C, std::int64_t m,
 /// pass over a single Lk-length row buffer); the [B, H, Lq, Lk] score
 /// tensor is never materialized. `mask`, if non-null, is an additive
 /// [lq, lk] row-major matrix shared across batch and heads.
+///
+/// On optimised AVX-512 builds (x86-64, glibc, GCC) the shape head_dim 4,
+/// lk % 16 == 0, no mask runs a vectorised pass structure instead of the
+/// generic row loop; its output is bitwise the generic loop's, which a
+/// one-time probe confirms for the build before the pass is used
+/// (DESIGN.md §7).
 void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask = nullptr);
+
+namespace detail {
+/// True when fused_sdpa takes its vectorised head_dim-4 pass in this build:
+/// the pass is compiled in and reproduces the generic loop.
+bool fused_sdpa_has_fast_path();
+/// fused_sdpa through the generic row loop only, for every shape: the
+/// reference the vectorised pass must match bit for bit.
+void fused_sdpa_generic(const float* q, const float* k, const float* v,
+                        float* out, std::int64_t batch, std::int64_t lq,
+                        std::int64_t lk, std::int64_t heads, std::int64_t dim,
+                        float scale, const float* mask = nullptr);
+}  // namespace detail
 
 /// C[m,n] (+)= row_scale[i] * col_scale[j] * sum_l A[i,l] * B[l,j] with
 /// int8 operands and exact int32 accumulation (k must stay < 2^24 so the

@@ -11,6 +11,10 @@
 #include "core/optimizer.hpp"
 #include "core/surrogate.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace deepbat::core {
 namespace {
 
@@ -84,40 +88,78 @@ TEST(ScoringCache, Fp32BitIdenticalToComposedHead) {
 }
 
 TEST(ScoringCache, MultiRowMatchesPerRowBitwise) {
+  // Batching R tenants into one call must be invisible bit-for-bit at every
+  // precision; at fp32 every row must also equal the composed autograd head
+  // (the carried-split head fc1 reproduces its FMA chains exactly).
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   const auto configs = grid().enumerate();
   const std::int64_t o = model.config().output_dim;
-  const std::int64_t d = model.config().model_dim;
   const std::size_t row_out = configs.size() * static_cast<std::size_t>(o);
 
   for (const ScoringPrecision precision :
        {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
         ScoringPrecision::kInt8}) {
     const auto cache = model.make_scoring_cache(configs, precision);
-    std::vector<float> e1_rows;
-    std::vector<std::vector<float>> solo_rows;
-    for (std::uint64_t seed : {3ULL, 5ULL, 11ULL, 13ULL}) {
-      const auto e1 = encode_row(model, random_window(32, seed));
-      e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
-      std::vector<float> solo(row_out);
-      model.predict_grid_from_e1_batch(e1, 1, cache, solo);
-      solo_rows.push_back(std::move(solo));
-    }
-    ASSERT_EQ(e1_rows.size(), solo_rows.size() * static_cast<std::size_t>(d));
-    std::vector<float> batched(solo_rows.size() * row_out);
-    model.predict_grid_from_e1_batch(e1_rows, solo_rows.size(), cache,
-                                     batched);
-    for (std::size_t r = 0; r < solo_rows.size(); ++r) {
-      for (std::size_t i = 0; i < row_out; ++i) {
-        // Row-local arithmetic at every precision: batching across tenants
-        // must be invisible bit-for-bit.
-        EXPECT_EQ(batched[r * row_out + i], solo_rows[r][i])
-            << to_string(precision) << " row " << r << " element " << i;
+    for (const std::size_t rows : {1U, 3U, 37U}) {
+      std::vector<float> e1_rows;
+      std::vector<std::vector<float>> references;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto e1 = encode_row(model, random_window(32, 3 + 2 * r));
+        e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
+        if (precision == ScoringPrecision::kFp32) {
+          references.push_back(composed_raw(model, e1, configs));
+        } else {
+          std::vector<float> solo(row_out);
+          model.predict_grid_from_e1_batch(e1, 1, cache, solo);
+          references.push_back(std::move(solo));
+        }
+      }
+      std::vector<float> batched(rows * row_out);
+      model.predict_grid_from_e1_batch(e1_rows, rows, cache, batched);
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(references[r].size(), row_out);
+        for (std::size_t i = 0; i < row_out; ++i) {
+          ASSERT_EQ(batched[r * row_out + i], references[r][i])
+              << to_string(precision) << " rows " << rows << " row " << r
+              << " element " << i;
+        }
       }
     }
   }
 }
+
+#ifdef _OPENMP
+TEST(ScoringCache, Fp32BatchBitIdenticalAcrossThreadCounts) {
+  // The exact fp32 pass scores tenants in parallel with per-thread scratch;
+  // no row may depend on the thread that scored it or on the team size.
+  // The standard grid gives each tenant enough work for threads to overlap.
+  Surrogate model(tiny_config(), grid());
+  model.set_training(false);
+  const auto configs = lambda::ConfigGrid::standard().enumerate();
+  const auto cache =
+      model.make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const std::size_t rows = 37;
+  std::vector<float> e1_rows;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto e1 = encode_row(model, random_window(32, 5 + r));
+    e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
+  }
+  const std::size_t out_size =
+      rows * configs.size() *
+      static_cast<std::size_t>(model.config().output_dim);
+  std::vector<float> one(out_size);
+  std::vector<float> four(out_size);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  model.predict_grid_from_e1_batch(e1_rows, rows, cache, one);
+  omp_set_num_threads(4);
+  model.predict_grid_from_e1_batch(e1_rows, rows, cache, four);
+  omp_set_num_threads(saved);
+  EXPECT_EQ(std::memcmp(one.data(), four.data(), out_size * sizeof(float)),
+            0);
+}
+#endif  // _OPENMP
 
 TEST(ScoringCache, QuantizedDecisionsTrackFp32Argmin) {
   Surrogate model(tiny_config(), grid());
@@ -246,6 +288,89 @@ TEST(ScoringCache, GridScorerScoreMatchesEngineUnpack) {
   EXPECT_EQ(SurrogateBatchScorer(model, configs, ScoringPrecision::kFp32)
                 .encoding_dim(),
             static_cast<std::size_t>(model.config().model_dim));
+}
+
+TEST(ScoringCache, LazyGridScorerRebuildsAfterRebindAndCalibrate) {
+  // GridScorer builds its scoring cache on first use and drops it on
+  // rebind(): after a rebind it must score exactly like a scorer built on
+  // the new surrogate, and calibrate() on a scorer that never scored must
+  // equal calibrating an eagerly built cache.
+  Surrogate model(tiny_config(), grid());
+  model.set_training(false);
+  SurrogateConfig other_cfg = tiny_config();
+  other_cfg.init_seed = 4242;
+  Surrogate other(other_cfg, grid());
+  other.set_training(false);
+  const auto configs = grid().enumerate();
+  const auto e1 = encode_row(model, random_window(32, 91));
+  std::vector<float> windows;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    const auto w = random_window(32, 600 + s);
+    windows.insert(windows.end(), w.begin(), w.end());
+  }
+  const auto expect_same = [](std::span<const PredictionTarget> got,
+                              std::span<const PredictionTarget> want,
+                              const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].cost_usd_per_request, want[i].cost_usd_per_request)
+          << what << " config " << i;
+      for (std::size_t p = 0; p < got[i].latency_s.size(); ++p) {
+        ASSERT_EQ(got[i].latency_s[p], want[i].latency_s[p])
+            << what << " config " << i;
+      }
+    }
+  };
+  for (const ScoringPrecision precision :
+       {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
+        ScoringPrecision::kInt8}) {
+    SCOPED_TRACE(to_string(precision));
+    const auto on_model = [&] {
+      std::vector<PredictionTarget> t;
+      model.predict_grid_from_e1_batch(
+          e1, 1, model.make_scoring_cache(configs, precision), t);
+      return t;
+    }();
+    const auto on_other = [&] {
+      std::vector<PredictionTarget> t;
+      other.predict_grid_from_e1_batch(
+          e1, 1, other.make_scoring_cache(configs, precision), t);
+      return t;
+    }();
+    const auto calibrated = [&] {
+      auto cache = model.make_scoring_cache(configs, precision);
+      model.calibrate_scoring_cache(cache, windows, 4);
+      std::vector<PredictionTarget> t;
+      model.predict_grid_from_e1_batch(e1, 1, cache, t);
+      return t;
+    }();
+
+    if (precision == ScoringPrecision::kInt8) {
+      // Calibration must be observable here, or the checks below could not
+      // tell a calibrated cache from a dynamic one.
+      bool differs = false;
+      for (std::size_t i = 0; i < on_model.size(); ++i) {
+        differs |= calibrated[i].cost_usd_per_request !=
+                   on_model[i].cost_usd_per_request;
+      }
+      ASSERT_TRUE(differs);
+    }
+
+    GridScorer scorer(model, configs, precision);
+    EXPECT_EQ(scorer.precision(), precision);
+    expect_same(scorer.score(e1), on_model, "first score");
+    scorer.rebind(other);
+    EXPECT_EQ(scorer.precision(), precision);
+    expect_same(scorer.score(e1), on_other, "after rebind");
+    scorer.rebind(model);
+    expect_same(scorer.score(e1), on_model, "after rebind back");
+
+    GridScorer fresh(model, configs, precision);
+    fresh.calibrate(windows, 4);
+    expect_same(fresh.score(e1), calibrated, "after calibrate");
+    fresh.rebind(model);  // drops the calibration with the cache
+    expect_same(fresh.score(e1), on_model, "calibrate then rebind");
+  }
 }
 
 TEST(ScoringCache, PrecisionNamesRoundTrip) {

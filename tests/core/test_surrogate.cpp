@@ -4,7 +4,10 @@
 #include "core/surrogate.hpp"
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 namespace deepbat::core {
@@ -118,6 +121,39 @@ TEST(SurrogateModel, PredictGridMatchesFullForward) {
   EXPECT_NEAR(preds[pick].p95(), direct.p95(), 1e-6);
 }
 
+TEST(SurrogateModel, EncodeSequenceBatchMatchesSingleWindowsBitwise) {
+  // encode_sequence runs batches over kEncodeTile windows tile by tile; the
+  // tile boundaries (and the batch size) must not move a single bit of any
+  // window's E_1, for either sequence encoder.
+  for (const EncoderType encoder :
+       {EncoderType::kTransformer, EncoderType::kLstm}) {
+    SurrogateConfig cfg = tiny_config();
+    cfg.encoder = encoder;
+    Surrogate model(cfg, grid());
+    model.set_training(false);
+    const std::int64_t l = cfg.sequence_length;
+    const std::int64_t d = cfg.model_dim;
+    for (const std::int64_t n : {1, 7, 8, 9, 470}) {
+      SCOPED_TRACE(testing::Message()
+                   << "lstm=" << (encoder == EncoderType::kLstm)
+                   << " windows=" << n);
+      const nn::Tensor seq = random_sequences(n, l, 40 + n);
+      const nn::Tensor batched = model.encode_sequence(seq);
+      ASSERT_EQ(batched.dim(0), n);
+      ASSERT_EQ(batched.dim(1), d);
+      for (std::int64_t r = 0; r < n; ++r) {
+        nn::Tensor one({1, l, 1});
+        std::copy(seq.data() + r * l, seq.data() + (r + 1) * l, one.data());
+        const nn::Tensor single = model.encode_sequence(one);
+        ASSERT_EQ(std::memcmp(batched.data() + r * d, single.data(),
+                              static_cast<std::size_t>(d) * sizeof(float)),
+                  0)
+            << "window " << r;
+      }
+    }
+  }
+}
+
 TEST(SurrogateModel, PredictGridChecksWindowLength) {
   Surrogate model(tiny_config(), grid());
   std::vector<float> wrong(16, 0.0F);
@@ -156,6 +192,46 @@ TEST(SurrogateModel, AttentionProfileAvailableWhenRecorded) {
     total += p;
   }
   EXPECT_NEAR(total, 1.0F, 1e-4F);
+}
+
+TEST(SurrogateModel, AttentionProfileCoversWholeBatch) {
+  // While attention is recorded, a batch larger than one encode tile still
+  // runs as one forward: the profile averages over every window, not just
+  // the last tile's, and each window's E_1 is still its solo encoding.
+  Surrogate model(tiny_config(), grid());
+  model.set_training(false);
+  model.set_record_attention(true);
+  const std::int64_t l = 32;
+  const std::int64_t d = model.config().model_dim;
+  const nn::Tensor a = random_sequences(1, l, 11);
+  const nn::Tensor b = random_sequences(1, l, 12);
+  const nn::Tensor e1_a = model.encode_sequence(a);
+  const auto profile_a = model.last_attention_profile();
+  model.encode_sequence(b);
+  const auto profile_b = model.last_attention_profile();
+  // Five copies of a, then three of b: a last tile of kEncodeTile = 4
+  // windows would hold one a and three b.
+  const std::int64_t n = 8;
+  nn::Tensor batch({n, l, 1});
+  for (std::int64_t r = 0; r < n; ++r) {
+    const nn::Tensor& src = r < 5 ? a : b;
+    std::copy(src.data(), src.data() + l, batch.data() + r * l);
+  }
+  const nn::Tensor e1 = model.encode_sequence(batch);
+  EXPECT_EQ(std::memcmp(e1.data(), e1_a.data(),
+                        static_cast<std::size_t>(d) * sizeof(float)),
+            0);
+  const auto profile = model.last_attention_profile();
+  ASSERT_EQ(profile.size(), static_cast<std::size_t>(l));
+  float spread = 0.0F;
+  for (std::int64_t k = 0; k < l; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    spread = std::max(spread, std::abs(profile_a[i] - profile_b[i]));
+    EXPECT_NEAR(profile[i], (5.0F * profile_a[i] + 3.0F * profile_b[i]) / 8.0F,
+                1e-5F)
+        << "position " << k;
+  }
+  EXPECT_GT(spread, 1e-3F) << "windows a and b must attend differently";
 }
 
 TEST(SurrogateModel, SaveLoadPreservesPredictions) {

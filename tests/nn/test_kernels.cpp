@@ -312,9 +312,13 @@ TEST(Kernels, FusedSdpaMatchesReference) {
   const struct {
     std::int64_t batch, lq, lk, heads, dim;
     bool masked;
-  } cases[] = {{1, 8, 8, 2, 8, false},  {2, 33, 33, 4, 16, false},
-               {1, 37, 21, 4, 16, false}, {1, 16, 16, 1, 4, true},
-               {2, 40, 40, 4, 16, true},  {1, 1, 5, 2, 8, false}};
+  } cases[] = {{1, 8, 8, 2, 8, false},    {2, 33, 33, 4, 16, false},
+               {1, 37, 21, 4, 16, false},  {1, 16, 16, 1, 4, true},
+               {2, 40, 40, 4, 16, true},   {1, 1, 5, 2, 8, false},
+               // head_dim 4 with lk % 16 == 0: the vectorised pass where the
+               // build has it (the last case is the encoder's l = 256 shape).
+               {2, 16, 16, 4, 16, false},  {2, 128, 128, 4, 16, false},
+               {1, 37, 128, 2, 8, false},  {1, 256, 256, 4, 16, false}};
   for (const auto& c : cases) {
     const auto q = random_vec(c.batch * c.lq * c.dim, 11);
     const auto k = random_vec(c.batch * c.lk * c.dim, 12);
@@ -347,6 +351,58 @@ TEST(Kernels, FusedSdpaMatchesReference) {
                                     << " masked=" << c.masked);
     expect_allclose(out_ref.data(), out_fused.data(),
                     static_cast<std::int64_t>(out_ref.size()));
+  }
+}
+
+TEST(Kernels, FusedSdpaFastPathMatchesGenericLoopBitwise) {
+  if (!kernels::detail::fused_sdpa_has_fast_path()) {
+    GTEST_SKIP() << "this build has no vectorised head_dim-4 SDPA pass";
+  }
+  const struct {
+    std::int64_t batch, lq, lk, heads, dim;
+    double spread;  // std of q and k; wide spreads underflow expf
+  } cases[] = {{2, 16, 16, 4, 16, 0.7},   {2, 128, 128, 4, 16, 0.7},
+               {3, 37, 256, 4, 16, 0.7},  {2, 9, 128, 2, 8, 0.7},
+               {2, 128, 128, 4, 16, 12.0}, {2, 64, 256, 4, 16, 30.0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "B=" << c.batch << " lq=" << c.lq
+                                    << " lk=" << c.lk << " H=" << c.heads
+                                    << " spread=" << c.spread);
+    Rng rng(static_cast<std::uint64_t>(c.lk * 7 + c.lq));
+    const auto draw = [&](std::int64_t n, double sd) {
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (auto& e : x) e = static_cast<float>(rng.normal(0.0, sd));
+      return x;
+    };
+    const auto q = draw(c.batch * c.lq * c.dim, c.spread);
+    const auto k = draw(c.batch * c.lk * c.dim, c.spread);
+    const auto v = draw(c.batch * c.lk * c.dim, 0.7);
+    const float scale = 0.5F;
+    std::vector<float> fast(static_cast<std::size_t>(c.batch * c.lq * c.dim));
+    std::vector<float> generic(fast.size());
+    kernels::fused_sdpa(q.data(), k.data(), v.data(), fast.data(), c.batch,
+                        c.lq, c.lk, c.heads, c.dim, scale);
+    kernels::detail::fused_sdpa_generic(q.data(), k.data(), v.data(),
+                                        generic.data(), c.batch, c.lq, c.lk,
+                                        c.heads, c.dim, scale);
+    if (c.spread > 1.0) {
+      // The wide inputs must really reach expf's underflow range, where
+      // libmvec takes its special-case lanes.
+      double widest = 0.0;
+      for (std::int64_t j = 0; j < c.lk; ++j) {
+        double s = 0.0;
+        for (int d = 0; d < 4; ++d) {
+          s += static_cast<double>(q[static_cast<std::size_t>(d)]) *
+               k[static_cast<std::size_t>(j * c.dim + d)];
+        }
+        widest = std::max(widest, std::abs(s * scale));
+      }
+      EXPECT_GT(widest, 110.0);
+    }
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&fast[i], &generic[i], sizeof(float)), 0)
+          << "element " << i << ": " << fast[i] << " vs " << generic[i];
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // state is touched. The cross-process variant of this test (kill -9 at a
 // seeded tick, restore, stitch) lives in bench/crash_recovery.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -37,8 +38,12 @@ core::DeepBatControllerOptions controller_options() {
   return opts;
 }
 
+/// ctest runs every parameterized case as its own process, in parallel, so
+/// the file name carries the process id: cases must not share a snapshot.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
