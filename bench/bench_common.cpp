@@ -227,8 +227,7 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
     const CliFlags flags(argc, argv);
     flags.check_known(
         {"slo", "hours", "interval", "cold-seed", "shards", "faults",
-         "fault-seed", "precision", "retrain", "retrain-seed", "json",
-         "metrics"});
+         "fault-seed", "retrain", "retrain-seed", "json", "metrics"});
     defaults.slo_s = flags.get_double("slo", defaults.slo_s);
     defaults.hours = flags.get_double("hours", defaults.hours);
     defaults.control_interval_s =
@@ -240,12 +239,6 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
     defaults.fault_scenario = flags.get("faults", defaults.fault_scenario);
     defaults.fault_seed = static_cast<std::uint64_t>(flags.get_int(
         "fault-seed", static_cast<std::int64_t>(defaults.fault_seed)));
-    const std::string precision =
-        flags.get("precision", core::to_string(defaults.scoring_precision));
-    const auto parsed = core::parse_scoring_precision(precision);
-    DEEPBAT_CHECK(parsed.has_value(),
-                  "replay args: --precision must be fp32, fp16, or int8");
-    defaults.scoring_precision = *parsed;
     defaults.retrain = flags.get_bool("retrain", defaults.retrain);
     defaults.retrain_seed = static_cast<std::uint64_t>(flags.get_int(
         "retrain-seed", static_cast<std::int64_t>(defaults.retrain_seed)));
@@ -265,7 +258,7 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
                  "%s\nusage: %s [--slo S] [--hours H] [--interval S] "
                  "[--cold-seed N] [--shards N] "
                  "[--faults calm|coldburst|flaky|throttled|chaos] "
-                 "[--fault-seed N] [--precision fp32|fp16|int8] "
+                 "[--fault-seed N] "
                  "[--retrain] [--retrain-seed N] "
                  "[--json PATH] [--metrics PATH]\n",
                  e.what(), argc > 0 ? argv[0] : "bench");

@@ -103,8 +103,6 @@ void preamble(const std::string& figure, const std::string& description);
 ///                        (calm|coldburst|flaky|throttled|chaos; default
 ///                        none — the byte-stable fair-weather replay)
 ///   --fault-seed <n>     FaultPlan seed for --faults (default 7)
-///   --precision <p>      grid-scoring arithmetic (fp32|fp16|int8, default
-///                        fp32 — the bit-exact replay; see DESIGN.md §12)
 ///   --retrain            enable the online harvest/retrain/shadow/hot-swap
 ///                        loop on the DeepBAT tenant (DESIGN.md §14)
 ///   --retrain-seed <n>   seed for the harvest reservoir and the retrain
@@ -120,7 +118,6 @@ struct ReplayArgs {
   /// Empty = no fault layer (not even the "calm" plan object).
   std::string fault_scenario;
   std::uint64_t fault_seed = 7;
-  core::ScoringPrecision scoring_precision = core::ScoringPrecision::kFp32;
   /// Online retraining (learn::AdaptiveController) on the DeepBAT tenant.
   bool retrain = false;
   std::uint64_t retrain_seed = 17;

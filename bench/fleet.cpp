@@ -23,11 +23,9 @@
 // Always writes BENCH_fleet.json; --json adds the standard table report.
 //
 // Flags: --fleet N, --groups K (0 = unlimited), --backend auto|cpu|gpu,
-//        --hours H, --interval S, --shards N, --precision P,
-//        --json PATH, --metrics PATH.
+//        --hours H, --interval S, --shards N, --json PATH, --metrics PATH.
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <iostream>
 #include <memory>
@@ -88,8 +86,7 @@ std::vector<sim::PlatformRun> replay_groups(const core::FleetPlan& plan,
                                             GroupReplaySetup& setup,
                                             double interval_s,
                                             std::size_t shards) {
-  sim::Runtime runtime(nullptr, sim::RuntimeOptions{.shards = shards,
-                                                    .overlap_encode = false});
+  sim::Runtime runtime(nullptr, sim::RuntimeOptions{.shards = shards});
   setup.controllers.clear();
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
     const core::GroupPlan& group = plan.groups[g];
@@ -122,12 +119,11 @@ int main(int argc, char** argv) {
   double hours = 0.5;
   double interval_s = 30.0;
   std::size_t shards = 1;
-  std::optional<core::ScoringPrecision> precision;
   std::string json_path, metrics_path;
   try {
     const CliFlags flags(argc, argv);
     flags.check_known({"fleet", "groups", "backend", "hours", "interval",
-                       "shards", "precision", "json", "metrics"});
+                       "shards", "json", "metrics"});
     const std::int64_t fleet_arg = flags.get_int("fleet", 8);
     DEEPBAT_CHECK(fleet_arg >= 1, "fleet: --fleet must be at least 1");
     fleet_n = static_cast<std::size_t>(fleet_arg);
@@ -145,17 +141,13 @@ int main(int argc, char** argv) {
     const std::int64_t shards_arg = flags.get_int("shards", 1);
     DEEPBAT_CHECK(shards_arg >= 1, "fleet: --shards must be at least 1");
     shards = static_cast<std::size_t>(shards_arg);
-    precision = core::parse_scoring_precision(flags.get("precision", "fp32"));
-    DEEPBAT_CHECK(precision.has_value(),
-                  "fleet: --precision must be fp32, fp16, or int8");
     json_path = flags.get("json", "");
     metrics_path = flags.get("metrics", "");
   } catch (const Error& e) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--fleet N] [--groups K] "
                  "[--backend auto|cpu|gpu] [--hours H] [--interval S] "
-                 "[--shards N] [--precision fp32|fp16|int8] [--json PATH] "
-                 "[--metrics PATH]\n",
+                 "[--shards N] [--json PATH] [--metrics PATH]\n",
                  e.what(), argc > 0 ? argv[0] : "fleet");
     return 2;
   }
@@ -179,7 +171,10 @@ int main(int argc, char** argv) {
   }
   for (std::size_t i = 0; i < fleet_n; ++i) {
     core::FleetTenant tenant;
-    tenant.name = "t" + std::to_string(i);
+    // Appended, not operator+: GCC 12 flags "t" + to_string with a false
+    // -Wrestrict positive (PR105329).
+    tenant.name = "t";
+    tenant.name += std::to_string(i);
     tenant.trace = &traces[i];
     tenant.slo_s = kSlos[i % 4];
     tenant.slo_percentile = 0.95;
@@ -195,10 +190,8 @@ int main(int argc, char** argv) {
   sim::Runtime solo_runtime(&encoder,
                             sim::RuntimeOptions{.shards = shards});
   for (std::size_t i = 0; i < fleet_n; ++i) {
-    auto copts = fx.controller_options(fleet[i].slo_s, gamma);
-    copts.scoring_precision = *precision;
-    solo_ctls.push_back(
-        std::make_unique<core::DeepBatController>(surrogate, copts));
+    solo_ctls.push_back(std::make_unique<core::DeepBatController>(
+        surrogate, fx.controller_options(fleet[i].slo_s, gamma)));
     sim::TenantSpec spec;
     spec.name = fleet[i].name;
     spec.trace = &traces[i];
@@ -232,7 +225,6 @@ int main(int argc, char** argv) {
   fopts.max_groups = max_groups;
   fopts.allow_gpu = backend_mode != "cpu";
   fopts.allow_cpu = backend_mode != "gpu";
-  fopts.scoring_precision = *precision;
   core::FleetOptimizer optimizer(
       cpu_backend, backend_mode == "cpu" ? nullptr : &gpu_backend, fopts);
   optimizer.attach_surrogate(&surrogate);

@@ -94,15 +94,6 @@ double find_ns(const std::string& section, const std::string& name,
   return -1.0;
 }
 
-/// "fused_<prec>_r1" without operator+ chains (GCC 12's -Wrestrict false
-/// positive, PR105329).
-std::string fused_r1_name(const char* prec) {
-  std::string name = "fused_";
-  name += prec;
-  name += "_r1";
-  return name;
-}
-
 void set_threads(int t) {
 #ifdef _OPENMP
   omp_set_num_threads(t);
@@ -250,9 +241,9 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
   // encoded E_1 row scored against the full standard grid. "legacy" is the
   // seed's per-tick recipe — broadcast E_1 over the grid, re-encode the
   // config features, run the composed autograd head — and "fused" is the
-  // GridScoringCache pass at each precision, solo (r1) and batched across
-  // eight tenants of a tick group (r8).
-  std::printf("[grid_scoring] standard grid, precision sweep\n");
+  // exact fp32 GridScoringCache pass, solo (r1) and batched across eight
+  // tenants of a tick group (r8).
+  std::printf("[grid_scoring] standard grid\n");
   core::SurrogateConfig scfg;
   scfg.sequence_length = 256;
   core::Surrogate model(scfg, lambda::ConfigGrid::standard());
@@ -295,33 +286,27 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
             1e9 * static_cast<double>(grid_n) / ns});
   }
 
-  // fused: GridScoringCache at fp32/fp16/int8, r1 and r8.
-  for (const core::ScoringPrecision precision :
-       {core::ScoringPrecision::kFp32, core::ScoringPrecision::kFp16,
-        core::ScoringPrecision::kInt8}) {
-    const auto cache = model.make_scoring_cache(configs, precision);
-    for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
-      std::vector<float> e1_rows;
-      for (std::size_t r = 0; r < rows; ++r) {
-        e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
-      }
-      std::vector<float> out(rows * static_cast<std::size_t>(grid_n * o));
-      const std::string name = std::string("fused_") +
-                               core::to_string(precision) + "_r" +
-                               std::to_string(rows);
-      for (int t : thread_counts) {
-        set_threads(t);
-        const double ns = time_ns(
-            [&] {
-              model.predict_grid_from_e1_batch(e1_rows, rows, cache, out);
-              volatile float sink = out[0];
-              (void)sink;
-            },
-            min_sample_s, samples);
-        record({"grid_scoring", name, "optimized", t, ns, -1.0,
-                1e9 * static_cast<double>(rows) * static_cast<double>(grid_n) /
-                    ns});
-      }
+  // fused: the GridScoringCache pass, r1 and r8.
+  const auto cache = model.make_scoring_cache(configs);
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<float> e1_rows;
+    for (std::size_t r = 0; r < rows; ++r) {
+      e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
+    }
+    std::vector<float> out(rows * static_cast<std::size_t>(grid_n * o));
+    const std::string name = "fused_fp32_r" + std::to_string(rows);
+    for (int t : thread_counts) {
+      set_threads(t);
+      const double ns = time_ns(
+          [&] {
+            model.predict_grid_from_e1_batch(e1_rows, rows, cache, out);
+            volatile float sink = out[0];
+            (void)sink;
+          },
+          min_sample_s, samples);
+      record({"grid_scoring", name, "optimized", t, ns, -1.0,
+              1e9 * static_cast<double>(rows) * static_cast<double>(grid_n) /
+                  ns});
     }
   }
 }
@@ -354,13 +339,11 @@ void write_json(const std::string& path, double speedup, double seed_1t,
   }
   {
     const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    for (const char* prec : {"fp32", "fp16", "int8"}) {
-      const double fused_ns =
-          find_ns("grid_scoring", fused_r1_name(prec), "optimized", 1);
-      out << "    \"grid_scoring_fused_" << prec << "_speedup_1t\": "
-          << (legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0)
-          << ",\n";
-    }
+    const double fused_ns =
+        find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
+    out << "    \"grid_scoring_fused_fp32_speedup_1t\": "
+        << (legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0)
+        << ",\n";
   }
   out << "    \"surrogate_forward_seed_ns_1t\": " << seed_1t << ",\n";
   out << "    \"surrogate_forward_optimized_ns_1t\": " << opt_1t << ",\n";
@@ -401,12 +384,11 @@ int run_gate(const std::string& baseline_path) {
            " ns) lose to 1 thread (" + std::to_string(opt1) + " ns)");
     }
   }
-  for (const char* prec : {"fp32", "fp16", "int8"}) {
-    const std::string name = fused_r1_name(prec);
-    const double f1 = find_ns("grid_scoring", name, "optimized", 1);
-    const double f2 = find_ns("grid_scoring", name, "optimized", 2);
+  {
+    const double f1 = find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
+    const double f2 = find_ns("grid_scoring", "fused_fp32_r1", "optimized", 2);
     if (f1 > 0 && f2 > 0 && f2 > f1 * 1.10) {
-      fail("grid_scoring " + name + ": 2 threads lose to 1 thread");
+      fail("grid_scoring fused_fp32_r1: 2 threads lose to 1 thread");
     }
   }
   std::ifstream in(baseline_path);
@@ -436,15 +418,10 @@ int run_gate(const std::string& baseline_path) {
   }
   {
     const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    for (const char* prec : {"fp32", "fp16", "int8"}) {
-      const double fused_ns =
-          find_ns("grid_scoring", fused_r1_name(prec), "optimized", 1);
-      std::string key = "grid_scoring_fused_";
-      key += prec;
-      key += "_speedup_1t";
-      check_ratio(key,
-                  legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0);
-    }
+    const double fused_ns =
+        find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
+    check_ratio("grid_scoring_fused_fp32_speedup_1t",
+                legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0);
   }
   if (failures == 0) std::printf("[gate] all checks passed\n");
   return failures;

@@ -15,7 +15,7 @@
 //
 // Writes BENCH_runtime_scaling.json (this bench owns the file; the
 // decision-level divergence checks against solo replays live in
-// runtime_multitenant and tests/sim/test_runtime.cpp).
+// tests/sim/test_runtime.cpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

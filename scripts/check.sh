@@ -126,13 +126,12 @@ OMP_NUM_THREADS=1 ./build-tsan/tests/test_fleet
 # scoring stress and the background-pool retrainer are the new concurrency
 # surfaces; the adaptive E2E tests ride along.
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_learn
-# Covers the golden quant-GEMM tests (gemm_s8 / quantize_rows_s8 / gemm_f16w)
-# under TSan's runtime. Filtered: the bit-identity suites set OMP thread
-# counts internally, and libgomp's barriers are opaque to TSan (same false
-# positives as above — OMP_NUM_THREADS=1 cannot pin an explicit
-# omp_set_num_threads).
+# The GEMM, SDPA and arena kernels under TSan's runtime. Filtered: the two
+# *AcrossThreadCounts suites set OMP thread counts internally, and
+# libgomp's barriers are opaque to TSan (same false positives as above —
+# OMP_NUM_THREADS=1 cannot pin an explicit omp_set_num_threads).
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_nn_kernels \
-  --gtest_filter='Kernels.GemmS8*:Kernels.QuantizeRows*:Kernels.GemmF16w*:Kernels.Fp16*'
+  --gtest_filter='-*AcrossThreadCounts'
 
 echo "== kernel bench gate =="
 # Kernel bench against the committed speedup baseline: named tall-skinny

@@ -6,8 +6,8 @@
 //    a callable that owns no shared mutable state; reductions merge
 //    thread-local accumulators.
 //  * WorkerPool — a persistent std::thread pool with task handles, for
-//    coarse long-lived units of work (runtime shards, overlapped batched
-//    forwards) that OpenMP's fork/join model fits badly. Waiting on a
+//    coarse long-lived units of work (runtime shards, background
+//    fine-tunes) that OpenMP's fork/join model fits badly. Waiting on a
 //    handle HELPS: the blocked thread executes other queued tasks, so tasks
 //    may submit tasks and wait on them from inside the pool without
 //    deadlock, and a pool of N threads is safe at any nesting depth.

@@ -11,9 +11,7 @@ DecisionEngineOptions engine_options(const DeepBatControllerOptions& options) {
   eo.grid = options.grid;
   eo.backend = options.backend;
   eo.pad_gap_s = options.pad_gap_s;
-  eo.encoder_cache_capacity = options.encoder_cache_capacity;
   eo.guard = options.guard;
-  eo.scoring_precision = options.scoring_precision;
   return eo;
 }
 

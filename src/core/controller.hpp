@@ -22,13 +22,8 @@ struct DeepBatControllerOptions {
   /// (paper §III-A: "techniques for padding ... can be used"). A large gap
   /// reads as "no traffic".
   double pad_gap_s = 10.0;
-  /// Entries held by the engine's window-encoding cache.
-  std::size_t encoder_cache_capacity = 512;
   /// Surrogate guardrails + circuit breaker (DecisionEngine, DESIGN.md §11).
   SurrogateGuardOptions guard;
-  /// Grid-scoring arithmetic (DESIGN.md §12): fp32 (exact, default), or
-  /// fp16/int8 for the faster quantized per-config GEMM.
-  ScoringPrecision scoring_precision = ScoringPrecision::kFp32;
 };
 
 class DeepBatController : public sim::SplitController,
@@ -48,21 +43,12 @@ class DeepBatController : public sim::SplitController,
   TickRequest begin_tick(const workload::Trace& history, double now) override;
   lambda::Config finish_tick(std::span<const float> encoding) override;
 
-  /// The engine accepts externally fused grid scores (SurrogateBatchScorer)
-  /// at every precision; decisions are identical to the per-tenant path.
+  /// The engine accepts externally fused grid scores (SurrogateBatchScorer);
+  /// decisions are identical to the per-tenant path.
   bool supports_batched_scoring() const override { return true; }
   lambda::Config finish_tick_scored(
       std::span<const float> encoding,
       std::span<const float> raw_predictions) override;
-
-  /// Calibrate the int8 scoring path's static activation scale from sample
-  /// windows (see DecisionEngine::calibrate_scoring).
-  void calibrate_scoring(std::span<const float> windows, std::size_t count) {
-    engine_.calibrate_scoring(windows, count);
-  }
-  ScoringPrecision scoring_precision() const {
-    return engine_.scoring_precision();
-  }
 
   void set_gamma(double gamma) { engine_.set_gamma(gamma); }
   double gamma() const { return engine_.gamma(); }
@@ -93,7 +79,7 @@ class DeepBatController : public sim::SplitController,
 
   const DecisionEngine& engine() const { return engine_; }
 
-  /// sim::Checkpointable (DESIGN.md §16): the engine's cache + breaker
+  /// sim::Checkpointable (DESIGN.md §16): the engine's memo + breaker
   /// state plus the controller's cumulative instrumentation. last_outcome_
   /// is intra-tick diagnostics and is not serialized (it resets on the next
   /// decision either way).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
@@ -42,29 +41,11 @@ std::span<const float> WindowParser::parse(const workload::Trace& history,
 
 // --------------------------------------------------------------- encoder --
 
-SequenceEncoder::SequenceEncoder(const Surrogate& surrogate,
-                                 std::size_t cache_capacity)
-    : surrogate_(&surrogate),
-      capacity_(std::max<std::size_t>(cache_capacity, 1)) {
+SequenceEncoder::SequenceEncoder(const Surrogate& surrogate)
+    : surrogate_(&surrogate) {
   auto& registry = obs::MetricsRegistry::instance();
   hit_counter_ = &registry.counter("core.encoder.cache_hit");
   miss_counter_ = &registry.counter("core.encoder.cache_miss");
-  evict_counter_ = &registry.counter("core.encoder.cache_evict");
-  size_gauge_ = &registry.gauge("core.encoder.cache_size");
-}
-
-std::size_t SequenceEncoder::KeyHash::operator()(
-    const std::vector<float>& key) const {
-  // FNV-1a over the float bit patterns; windows are produced by the same
-  // deterministic encode path, so bitwise equality is the right notion.
-  std::size_t h = 1469598103934665603ULL;
-  for (const float v : key) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    h ^= bits;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::size_t SequenceEncoder::window_length() const {
@@ -75,25 +56,17 @@ std::size_t SequenceEncoder::encoding_dim() const {
   return static_cast<std::size_t>(surrogate_->config().model_dim);
 }
 
-void SequenceEncoder::touch(Entry& entry) {
-  if (entry.lru_pos != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-  }
-}
-
 const std::vector<float>* SequenceEncoder::lookup(
     std::span<const float> window) {
-  key_.assign(window.begin(), window.end());
-  const auto it = cache_.find(key_);
-  if (it == cache_.end()) {
+  if (!std::equal(window.begin(), window.end(), window_.begin(),
+                  window_.end())) {
     ++misses_;
     miss_counter_->add();
     return nullptr;
   }
   ++hits_;
   hit_counter_->add();
-  touch(it->second);
-  return &it->second.e1;
+  return &e1_;
 }
 
 std::span<const float> SequenceEncoder::insert(std::span<const float> window,
@@ -102,28 +75,9 @@ std::span<const float> SequenceEncoder::insert(std::span<const float> window,
                 "SequenceEncoder: window length mismatch");
   DEEPBAT_CHECK(e1.size() == encoding_dim(),
                 "SequenceEncoder: encoding dimension mismatch");
-  key_.assign(window.begin(), window.end());
-  const auto it = cache_.find(key_);
-  if (it != cache_.end()) {  // re-insert of a cached window: refresh in place
-    it->second.e1.assign(e1.begin(), e1.end());
-    touch(it->second);
-    return it->second.e1;
-  }
-  if (cache_.size() >= capacity_) {  // evict the least-recently-used entry
-    // Copy the key out first: erase() would otherwise be fed a reference
-    // into the node it is destroying.
-    const std::vector<float> victim = *lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-    ++evictions_;
-    evict_counter_->add();
-  }
-  auto [pos, inserted] = cache_.emplace(
-      key_, Entry{std::vector<float>(e1.begin(), e1.end()), lru_.end()});
-  lru_.push_front(&pos->first);
-  pos->second.lru_pos = lru_.begin();
-  size_gauge_->set(static_cast<double>(cache_.size()));
-  return pos->second.e1;
+  window_.assign(window.begin(), window.end());
+  e1_.assign(e1.begin(), e1.end());
+  return e1_;
 }
 
 void SequenceEncoder::forward_single(std::span<const float> window,
@@ -147,72 +101,48 @@ void SequenceEncoder::rebind(const Surrogate& surrogate) {
           surrogate.config().model_dim == surrogate_->config().model_dim,
       "SequenceEncoder: rebound surrogate changes the encoder dimensions");
   surrogate_ = &surrogate;
-  cache_.clear();
-  lru_.clear();
-  size_gauge_->set(0.0);
+  window_.clear();
+  e1_.clear();
 }
 
 void SequenceEncoder::save_state(sim::CheckpointWriter& w) const {
-  w.u64(cache_.size());
-  // Most-recently-used first: lru_ front to back.
-  for (const std::vector<float>* key : lru_) {
-    const auto it = cache_.find(*key);
-    w.floats(*key);
-    w.floats(it->second.e1);
+  w.boolean(!window_.empty());
+  if (!window_.empty()) {
+    w.floats(window_);
+    w.floats(e1_);
   }
   w.u64(hits_);
   w.u64(misses_);
-  w.u64(evictions_);
 }
 
 void SequenceEncoder::restore_state(sim::CheckpointReader& r) {
-  cache_.clear();
-  lru_.clear();
-  const std::uint64_t n = r.u64();
-  DEEPBAT_CHECK(n <= capacity_,
-                "SequenceEncoder: checkpoint cache exceeds this encoder's "
-                "capacity");
-  std::vector<std::pair<std::vector<float>, std::vector<float>>> entries;
-  entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    // Two reads in declared order (a single emplace_back(r.floats(),
-    // r.floats()) would leave the order unspecified).
+  window_.clear();
+  e1_.clear();
+  if (r.boolean()) {
+    // Two reads in declared order, then one dimension check for both.
     std::vector<float> window = r.floats();
     std::vector<float> e1 = r.floats();
     DEEPBAT_CHECK(window.size() == window_length() &&
                       e1.size() == encoding_dim(),
-                  "SequenceEncoder: checkpoint entry dimensions do not match "
+                  "SequenceEncoder: checkpoint memo dimensions do not match "
                   "this encoder's surrogate");
-    entries.emplace_back(std::move(window), std::move(e1));
-  }
-  // Oldest first, so push_front rebuilds the saved recency order exactly.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    auto [pos, inserted] = cache_.emplace(
-        std::move(it->first), Entry{std::move(it->second), lru_.end()});
-    DEEPBAT_CHECK(inserted,
-                  "SequenceEncoder: duplicate window in checkpoint cache");
-    lru_.push_front(&pos->first);
-    pos->second.lru_pos = lru_.begin();
+    window_ = std::move(window);
+    e1_ = std::move(e1);
   }
   hits_ = static_cast<std::size_t>(r.u64());
   misses_ = static_cast<std::size_t>(r.u64());
-  evictions_ = static_cast<std::size_t>(r.u64());
-  size_gauge_->set(static_cast<double>(cache_.size()));
 }
 
 // ---------------------------------------------------------------- scorer --
 
 GridScorer::GridScorer(const Surrogate& surrogate,
-                       std::vector<lambda::Config> configs,
-                       ScoringPrecision precision)
-    : surrogate_(&surrogate),
-      configs_(std::move(configs)),
-      precision_(precision) {
+                       std::vector<lambda::Config> configs)
+    : surrogate_(&surrogate), configs_(std::move(configs)) {
   DEEPBAT_CHECK(!configs_.empty(), "GridScorer: empty config grid");
 }
 
 GridScoringCache& GridScorer::ensure_cache() const {
-  if (!cache_) cache_ = surrogate_->make_scoring_cache(configs_, precision_);
+  if (!cache_) cache_ = surrogate_->make_scoring_cache(configs_);
   return *cache_;
 }
 
@@ -232,10 +162,6 @@ std::span<const PredictionTarget> GridScorer::unpack(
     scored_[i] = unpack_target(raw.subspan(i * kTargetDim, kTargetDim));
   }
   return scored_;
-}
-
-void GridScorer::calibrate(std::span<const float> windows, std::size_t count) {
-  surrogate_->calibrate_scoring_cache(ensure_cache(), windows, count);
 }
 
 void GridScorer::rebind(const Surrogate& surrogate) {
@@ -265,9 +191,8 @@ DecisionEngine::DecisionEngine(const Surrogate& surrogate,
     : options_(resolve_grid(std::move(options))),
       parser_(static_cast<std::size_t>(surrogate.config().sequence_length),
               options_.pad_gap_s),
-      encoder_(surrogate, options_.encoder_cache_capacity),
-      scorer_(surrogate, options_.grid.enumerate(),
-              options_.scoring_precision) {
+      encoder_(surrogate),
+      scorer_(surrogate, options_.grid.enumerate()) {
   DEEPBAT_CHECK(options_.gamma >= 0.0 && options_.gamma < 1.0,
                 "DecisionEngine: gamma out of [0, 1)");
   auto& registry = obs::MetricsRegistry::instance();
@@ -358,7 +283,7 @@ DecisionEngine::Prepared DecisionEngine::begin(const workload::Trace& history,
   DEEPBAT_CHECK(!pending_, "DecisionEngine: begin() called twice");
   pending_ = true;
   if (options_.guard.enabled && breaker_ == BreakerState::kOpen) {
-    // Breaker open: skip parse/cache/encode entirely; finish() serves the
+    // Breaker open: skip parse/memo/encode entirely; finish() serves the
     // fallback config. Ticks spent here are neither hits nor misses.
     pending_bypass_ = true;
     return Prepared{false, {}, true, {}};
@@ -371,10 +296,10 @@ DecisionEngine::Prepared DecisionEngine::begin(const workload::Trace& history,
   if (cached != nullptr) {
     pending_hit_ = true;
     pending_e1_ = *cached;
-    // Expose the cached row so a batching runtime can fold this tenant into
-    // its fused scoring pass. The span stays valid: the entry cannot be
-    // evicted before finish() — eviction only happens on insert, and the
-    // engine inserts at most once per begin()/finish() pair, on a miss.
+    // Expose the memoised row so a batching runtime can fold this tenant
+    // into its fused scoring pass. The span stays valid until finish(): the
+    // memo only changes on insert, and the engine inserts at most once per
+    // begin()/finish() pair, on a miss.
     return Prepared{false, {}, false, pending_e1_};
   }
   pending_hit_ = false;
@@ -397,10 +322,9 @@ EngineDecision DecisionEngine::finish(std::span<const float> encoding) {
   } else {
     DEEPBAT_CHECK(encoding.size() == encoder_.encoding_dim(),
                   "DecisionEngine: finish() expected an encoding row");
-    // Score from the caller's row first; it is only inserted into the
-    // window cache inside complete(), once the guard has accepted the
-    // predictions, so a poisoned encoding can never be served from the
-    // cache later.
+    // Score from the caller's row first; it is only memoised inside
+    // complete(), once the guard has accepted the predictions, so a
+    // poisoned encoding can never be served from the memo later.
     e1 = encoding;
   }
 
@@ -453,7 +377,7 @@ EngineDecision DecisionEngine::complete(
     return fallback;
   }
   if (!pending_hit_) {
-    // The cache stores its own copy; the runtime's batch buffer is reused.
+    // The memo stores its own copy; the runtime's batch buffer is reused.
     encoder_.insert(pending_window_, encoding);
   }
   if (breaker_ == BreakerState::kHalfOpen) {
@@ -562,10 +486,10 @@ void SurrogateBatchEncoder::encode(std::span<const float> windows,
 
 SurrogateBatchScorer::SurrogateBatchScorer(const Surrogate& surrogate,
                                            std::vector<lambda::Config> configs,
-                                           ScoringPrecision precision)
+                                           ScoringPrecision /*precision*/)
     : surrogate_(surrogate), configs_(std::move(configs)) {
   DEEPBAT_CHECK(!configs_.empty(), "SurrogateBatchScorer: empty config grid");
-  cache_ = surrogate_.make_scoring_cache(configs_, precision);
+  cache_ = surrogate_.make_scoring_cache(configs_);
 }
 
 std::size_t SurrogateBatchScorer::encoding_dim() const {
@@ -582,11 +506,6 @@ void SurrogateBatchScorer::score(std::span<const float> e1_rows,
                                  std::size_t count, std::span<float> out) {
   surrogate_.predict_grid_from_e1_batch(e1_rows, count, cache_, out);
   count_call(count);
-}
-
-void SurrogateBatchScorer::calibrate(std::span<const float> windows,
-                                     std::size_t count) {
-  surrogate_.calibrate_scoring_cache(cache_, windows, count);
 }
 
 }  // namespace deepbat::core

@@ -5,8 +5,9 @@
 //   WindowParser     — slice the last l inter-arrival gaps before `now`
 //                      from the history, left-pad short windows, encode.
 //   SequenceEncoder  — the expensive stage: one Surrogate::encode_sequence
-//                      per tick, behind a window-keyed cache so identical /
-//                      idle windows skip the Transformer forward entirely.
+//                      per tick, behind a last-window memo so an idle
+//                      tenant's repeated window skips the Transformer
+//                      forward entirely.
 //   GridScorer       — the cheap per-config head: broadcast E_1 over the
 //                      candidate grid and predict (cost, percentiles).
 //   Policy           — gamma-tightened feasibility scan + cost argmin
@@ -18,10 +19,8 @@
 // tick for the whole fleet). DeepBatController is a thin adapter over this
 // class.
 
-#include <list>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -48,43 +47,40 @@ class WindowParser {
   std::vector<float> encoded_;
 };
 
-/// Stage 2 — encode-once with a window-keyed LRU cache. A control tick over
-/// an idle or repeating workload re-parses the identical window; the cache
-/// turns those ticks into O(l) lookups instead of Transformer forwards.
-/// When full, the least-recently-used entry is evicted; recency depends
-/// only on the probe/insert sequence, so eviction (like everything else in
-/// the engine) is deterministic. Probes and evictions also feed the
-/// core.encoder.* registry metrics (DESIGN.md §9).
+/// Stage 2 — encode-once behind a last-window memo. A probe hits when the
+/// window equals (float ==, element by element) the last window inserted,
+/// which is exactly the tick of an idle tenant: Trace::window_before reads
+/// only arrivals before `now`, so a tenant with no new arrivals re-parses
+/// the identical window. Any other window misses, so A -> B -> A misses on
+/// the third probe. Probes feed the core.encoder.* registry metrics
+/// (DESIGN.md §9).
 class SequenceEncoder {
  public:
-  SequenceEncoder(const Surrogate& surrogate, std::size_t cache_capacity);
+  explicit SequenceEncoder(const Surrogate& surrogate);
 
-  /// Cached E_1 row for `window`, or nullptr on a miss (counts the probe).
-  /// A hit promotes the entry to most-recently-used.
+  /// The memoised E_1 row when `window` equals the last inserted window, or
+  /// nullptr on a miss (counts the probe).
   const std::vector<float>* lookup(std::span<const float> window);
 
-  /// Store an externally computed E_1 row (e.g. from the runtime's shared
-  /// batched forward) and return a stable span of the cached copy. When
-  /// the cache is full the least-recently-used entry is evicted first.
+  /// Memoise an externally computed E_1 row (e.g. from the runtime's shared
+  /// batched forward) in place of the previous memo, and return a span of
+  /// the stored copy, valid until the next insert(), rebind() or restore.
   std::span<const float> insert(std::span<const float> window,
                                 std::span<const float> e1);
 
-  /// Encode one window with a single [1, l, 1] forward (no cache insert;
+  /// Encode one window with a single [1, l, 1] forward (no memo update;
   /// callers pair this with insert()).
   void forward_single(std::span<const float> window,
                       std::span<float> out) const;
 
   /// Point the encoder at a new surrogate version (learn/ hot-swap,
-  /// DESIGN.md §14). Every cached E_1 row was computed by the old weights,
-  /// so the cache is dropped wholesale; the cumulative hit/miss/evict
-  /// counters survive — they describe the tenant, not the model. The new
-  /// surrogate must share sequence_length and model_dim with the old one.
+  /// DESIGN.md §14). The memoised E_1 row was computed by the old weights,
+  /// so the memo is dropped; the cumulative hit/miss counters survive —
+  /// they describe the tenant, not the model. The new surrogate must share
+  /// sequence_length and model_dim with the old one.
   void rebind(const Surrogate& surrogate);
 
-  /// Checkpoint the cache contents and cumulative probe counters
-  /// (DESIGN.md §16). Entries are written most-recently-used first;
-  /// restore_state() rebuilds the identical recency order (and therefore
-  /// the identical future eviction sequence) by re-inserting oldest-first.
+  /// Checkpoint the memo and the cumulative probe counters (DESIGN.md §16).
   void save_state(sim::CheckpointWriter& w) const;
   void restore_state(sim::CheckpointReader& r);
 
@@ -92,49 +88,27 @@ class SequenceEncoder {
   std::size_t encoding_dim() const;
   std::size_t cache_hits() const { return hits_; }
   std::size_t cache_misses() const { return misses_; }
-  std::size_t cache_evictions() const { return evictions_; }
-  std::size_t cache_size() const { return cache_.size(); }
-  std::size_t cache_capacity() const { return capacity_; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::vector<float>& key) const;
-  };
-  /// Cached row plus its recency-list position. The list stores pointers to
-  /// the map keys (node-stable in unordered_map), so a window is held once.
-  struct Entry {
-    std::vector<float> e1;
-    std::list<const std::vector<float>*>::iterator lru_pos;
-  };
-
-  void touch(Entry& entry);  // move to most-recently-used
-
   const Surrogate* surrogate_;  // rebindable (hot-swap); never null
-  std::size_t capacity_;
-  std::unordered_map<std::vector<float>, Entry, KeyHash> cache_;
-  std::list<const std::vector<float>*> lru_;  // front = most recent
-  std::vector<float> key_;  // scratch, reused across probes
+  std::vector<float> window_;   // memoised window; empty when none
+  std::vector<float> e1_;       // its E_1 row
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t evictions_ = 0;
-  obs::Counter* hit_counter_;    // core.encoder.cache_hit
-  obs::Counter* miss_counter_;   // core.encoder.cache_miss
-  obs::Counter* evict_counter_;  // core.encoder.cache_evict
-  obs::Gauge* size_gauge_;       // core.encoder.cache_size
+  obs::Counter* hit_counter_;   // core.encoder.cache_hit
+  obs::Counter* miss_counter_;  // core.encoder.cache_miss
 };
 
 /// Stage 3 — per-config scoring off one E_1 row (the millisecond path the
 /// paper's §IV-F speedup rests on). Holds a GridScoringCache so the feature
-/// branch, head-weight slices, and (for reduced precisions) the quantized
-/// weight images are computed once instead of per tick, and a
-/// PredictionTarget scratch buffer so steady-state scoring allocates nothing
-/// (DESIGN.md §12). The cache is built on the first score() or calibrate():
-/// a controller whose runtime scores its grid in the shared fused pass only
+/// branch and head-weight slices are computed once instead of per tick, and
+/// a PredictionTarget scratch buffer so steady-state scoring allocates
+/// nothing (DESIGN.md §12). The cache is built on the first score(): a
+/// controller whose runtime scores its grid in the shared fused pass only
 /// ever calls unpack() and never pays for one.
 class GridScorer {
  public:
-  GridScorer(const Surrogate& surrogate, std::vector<lambda::Config> configs,
-             ScoringPrecision precision = ScoringPrecision::kFp32);
+  GridScorer(const Surrogate& surrogate, std::vector<lambda::Config> configs);
 
   /// Score the grid against one E_1 row. The returned span points into the
   /// scorer's scratch buffer and stays valid until the next score() /
@@ -145,20 +119,12 @@ class GridScorer {
   /// one tenant's slice of a runtime batch) into the scratch buffer.
   std::span<const PredictionTarget> unpack(std::span<const float> raw) const;
 
-  /// Calibrate the cache's static int8 activation scale (see
-  /// Surrogate::calibrate_scoring_cache). No-op observable effect at fp32.
-  void calibrate(std::span<const float> windows, std::size_t count);
-
   /// Point the scorer at a new surrogate version (learn/ hot-swap): the
-  /// precomputed feature branch / head slices / quantized images all came
-  /// from the old weights, so the scoring cache is dropped and rebuilt at
-  /// the same precision on the next score() or calibrate(). An int8
-  /// calibration is dropped with it (the int8 path then quantizes
-  /// activations dynamically per row until calibrated again).
+  /// precomputed feature branch and head slices came from the old weights,
+  /// so the scoring cache is dropped and rebuilt on the next score().
   void rebind(const Surrogate& surrogate);
 
   const std::vector<lambda::Config>& configs() const { return configs_; }
-  ScoringPrecision precision() const { return precision_; }
 
  private:
   /// The scoring cache, built on first use. A scorer belongs to one
@@ -168,7 +134,6 @@ class GridScorer {
 
   const Surrogate* surrogate_;  // rebindable (hot-swap); never null
   std::vector<lambda::Config> configs_;
-  ScoringPrecision precision_;
   mutable std::optional<GridScoringCache> cache_;
   mutable std::vector<PredictionTarget> scored_;  // reused across ticks
 };
@@ -213,15 +178,8 @@ struct DecisionEngineOptions {
   /// reads as "no traffic".
   double pad_gap_s = 10.0;
   std::size_t percentile_index = kSloPercentileIndex;
-  /// Entries held by the encoder's window cache; when full, the
-  /// least-recently-used window is evicted (true LRU since PR 3).
-  std::size_t encoder_cache_capacity = 512;
   /// Surrogate output guardrails + circuit breaker (DESIGN.md §11).
   SurrogateGuardOptions guard;
-  /// Arithmetic of the grid-scoring stage (DESIGN.md §12). kFp32 is
-  /// bit-identical to the composed surrogate head; kFp16/kInt8 trade a
-  /// bounded prediction error for a faster per-config GEMM.
-  ScoringPrecision scoring_precision = ScoringPrecision::kFp32;
 };
 
 struct EngineDecision {
@@ -243,12 +201,12 @@ class DecisionEngine {
  public:
   DecisionEngine(const Surrogate& surrogate, DecisionEngineOptions options);
 
-  /// One-shot decision: parse -> encode (cache / single forward) -> score
+  /// One-shot decision: parse -> encode (memo / single forward) -> score
   /// -> select.
   EngineDecision decide(const workload::Trace& history, double now);
 
   /// Split-phase decision for the multi-tenant runtime: begin() parses and
-  /// probes the cache; when it asks for an encoding, the caller computes it
+  /// probes the memo; when it asks for an encoding, the caller computes it
   /// (possibly batched with other tenants) and passes the E_1 row to
   /// finish(). begin()/finish() must alternate strictly.
   struct Prepared {
@@ -257,7 +215,7 @@ class DecisionEngine {
     /// True when the circuit breaker is open: parse/encode/score are all
     /// skipped and finish() returns the fallback decision.
     bool bypassed = false;
-    /// On a window-cache hit: the cached E_1 row, so a batching runtime can
+    /// On a memo hit: the memoised E_1 row, so a batching runtime can
     /// include this tenant in its fused grid-scoring pass without
     /// re-encoding. Valid until finish()/finish_scored() returns.
     std::span<const float> cached_encoding;
@@ -268,19 +226,11 @@ class DecisionEngine {
   /// finish() variant for runtimes that already scored the grid through the
   /// fused batch pass (SurrogateBatchScorer): `raw_predictions` holds this
   /// tenant's grid slice (configs().size() * kTargetDim floats). The guard,
-  /// cache-insert ordering (guard BEFORE insert), breaker transitions, and
+  /// memo-insert ordering (guard BEFORE insert), breaker transitions, and
   /// policy stage are identical to finish(); only the scoring stage is
   /// skipped. Must not be called on a bypassed tick (use finish()).
   EngineDecision finish_scored(std::span<const float> encoding,
                                std::span<const float> raw_predictions);
-
-  /// Calibrate the scorer's static int8 activation scale from sample
-  /// windows (`count` concatenated length-l windows). Optional: without it
-  /// the int8 path quantizes activations dynamically per row.
-  void calibrate_scoring(std::span<const float> windows, std::size_t count) {
-    scorer_.calibrate(windows, count);
-  }
-  ScoringPrecision scoring_precision() const { return scorer_.precision(); }
 
   /// True iff `predictions` pass the guard's sanity bounds (all entries
   /// finite, cost above the floor, percentile vectors monotone within the
@@ -296,7 +246,7 @@ class DecisionEngine {
   }
 
   /// Hot-swap the surrogate behind the engine (learn/ versioned store,
-  /// DESIGN.md §14): the encoder drops its now-stale window cache, the
+  /// DESIGN.md §14): the encoder drops its now-stale window memo, the
   /// scorer rebuilds its precomputed grid cache from the new weights, and
   /// the breaker moves to HalfOpen — the swap is an assertion that the new
   /// model is better, not proof, so the very next decision probes it once
@@ -328,7 +278,7 @@ class DecisionEngine {
   }
   const DecisionEngineOptions& options() const { return options_; }
 
-  /// Checkpoint the engine's replay-relevant state: the encoder cache, the
+  /// Checkpoint the engine's replay-relevant state: the encoder memo, the
   /// circuit breaker (state, cooldown, last-known-good config), and the
   /// cumulative breaker counters. The surrogate weights are NOT serialized
   /// here — the owner restores the engine against the same (or the learn/
@@ -351,7 +301,7 @@ class DecisionEngine {
 
   EngineDecision fallback_decision();
   void trip_breaker();
-  /// Shared tail of finish()/finish_scored(): guard, cache insert, breaker
+  /// Shared tail of finish()/finish_scored(): guard, memo insert, breaker
   /// reset, policy. `scored` points into the scorer's scratch buffer.
   EngineDecision complete(std::span<const float> encoding,
                           std::span<const PredictionTarget> scored,
@@ -373,7 +323,7 @@ class DecisionEngine {
   obs::Counter* reset_counter_;
   // Pending state between begin() and finish().
   std::span<const float> pending_window_;
-  std::span<const float> pending_e1_;  // set on a cache hit
+  std::span<const float> pending_e1_;  // set on a memo hit
   bool pending_ = false;
   bool pending_hit_ = false;
   bool pending_bypass_ = false;
@@ -393,13 +343,11 @@ class DecisionEngine {
 /// each row bit-identical to a solo [1, l, 1] encode, which is what keeps
 /// multi-tenant runs bit-identical to independent single-tenant replays.
 ///
-/// Shard safety: encode() is safe to call concurrently from several
-/// runtime shards, on distinct instances over one surrogate or on a single
-/// shared instance — the forward reads a const model under thread-local
-/// NoGradGuard/arena scopes, keeps its scratch tensor on the stack, and
-/// the base-class call counters are relaxed atomics. (Each tenant's
-/// SequenceEncoder cache, by contrast, is single-writer: a tenant belongs
-/// to exactly one shard.)
+/// Shard safety: one instance serves every runtime shard concurrently — the
+/// forward reads a const model under thread-local NoGradGuard/arena scopes,
+/// keeps its scratch tensor on the stack, and the base-class call counters
+/// are relaxed atomics. (Each tenant's SequenceEncoder memo, by contrast,
+/// is single-writer: a tenant belongs to exactly one shard.)
 class SurrogateBatchEncoder final : public sim::BatchEncoder {
  public:
   explicit SurrogateBatchEncoder(const Surrogate& surrogate)
@@ -417,18 +365,15 @@ class SurrogateBatchEncoder final : public sim::BatchEncoder {
 /// sim::BatchScorer over the surrogate's fused grid-scoring pass: scores k
 /// tenants' E_1 rows against the whole config grid in one
 /// predict_grid_from_e1_batch call (DESIGN.md §12). Row r of the output is
-/// bit-identical to scoring row r alone at every precision (fp32 exactly
-/// reproduces the composed head; the quantized paths quantize activations
-/// row-locally), which is what keeps multi-tenant batched-scoring runs
-/// replay-invariant.
+/// bit-identical to scoring row r alone and to the composed autograd head,
+/// which is what keeps multi-tenant batched-scoring runs replay-invariant.
 ///
 /// Shard safety: score() reads the model and the scoring cache const (the
-/// per-call scratch lives in thread-local arenas), so one instance — or
-/// several over one surrogate — may serve concurrent runtime shards.
-/// calibrate() mutates the cache and must happen-before any concurrent
-/// score().
+/// per-call scratch lives in thread-local arenas), so one instance may
+/// serve concurrent runtime shards.
 class SurrogateBatchScorer final : public sim::BatchScorer {
  public:
+  /// `precision` is always kFp32, the one scoring arithmetic.
   SurrogateBatchScorer(const Surrogate& surrogate,
                        std::vector<lambda::Config> configs,
                        ScoringPrecision precision = ScoringPrecision::kFp32);
@@ -438,12 +383,6 @@ class SurrogateBatchScorer final : public sim::BatchScorer {
   std::size_t target_dim() const override;
   void score(std::span<const float> e1_rows, std::size_t count,
              std::span<float> out) override;
-
-  /// Calibrate the static int8 activation scale (optional; see
-  /// Surrogate::calibrate_scoring_cache).
-  void calibrate(std::span<const float> windows, std::size_t count);
-
-  ScoringPrecision precision() const { return cache_.precision(); }
 
  private:
   const Surrogate& surrogate_;

@@ -229,8 +229,7 @@ void FleetOptimizer::refine_with_surrogate(FleetPlan& plan) const {
   SurrogateBatchEncoder encoder(*surrogate_);
   std::vector<float> e1(cpu_groups.size() * encoder.encoding_dim());
   encoder.encode(windows, cpu_groups.size(), e1);
-  SurrogateBatchScorer scorer(*surrogate_, configs,
-                              options_.scoring_precision);
+  SurrogateBatchScorer scorer(*surrogate_, configs);
   std::vector<float> raw(cpu_groups.size() * scorer.grid_size() *
                          scorer.target_dim());
   scorer.score(e1, cpu_groups.size(), raw);

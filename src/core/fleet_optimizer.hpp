@@ -87,8 +87,6 @@ struct FleetOptimizerOptions {
   /// Permit the CPU tier. Disabling both is an error; disabling CPU
   /// requires a gpu backend (`--backend gpu` benches).
   bool allow_cpu = true;
-  /// Precision of the fused surrogate scoring pass (attach_surrogate).
-  ScoringPrecision scoring_precision = ScoringPrecision::kFp32;
   /// Pad gap for surrogate window parsing (DecisionEngineOptions::pad_gap_s).
   double pad_gap_s = 10.0;
 };

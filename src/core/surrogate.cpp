@@ -194,47 +194,25 @@ std::vector<PredictionTarget> Surrogate::predict_grid_from_e1(
   DEEPBAT_CHECK(!configs.empty(), "predict_grid_from_e1: no configs");
   DEEPBAT_CHECK(static_cast<std::int64_t>(e1_row.size()) == config_.model_dim,
                 "predict_grid_from_e1: E_1 dimension mismatch");
-  // Compatibility wrapper: one-shot fused pass through a throwaway fp32
-  // cache (bit-identical to the composed head it used to call). Persistent
+  // Compatibility wrapper: one-shot fused pass through a throwaway cache
+  // (bit-identical to the composed head it used to call). Persistent
   // callers hold their own GridScoringCache.
-  const GridScoringCache cache =
-      make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const GridScoringCache cache = make_scoring_cache(configs);
   std::vector<PredictionTarget> targets;
   predict_grid_from_e1_batch(e1_row, 1, cache, targets);
   return targets;
 }
 
-const char* to_string(ScoringPrecision precision) {
-  switch (precision) {
-    case ScoringPrecision::kFp16:
-      return "fp16";
-    case ScoringPrecision::kInt8:
-      return "int8";
-    case ScoringPrecision::kFp32:
-      break;
-  }
-  return "fp32";
-}
-
-std::optional<ScoringPrecision> parse_scoring_precision(std::string_view name) {
-  if (name == "fp32") return ScoringPrecision::kFp32;
-  if (name == "fp16") return ScoringPrecision::kFp16;
-  if (name == "int8") return ScoringPrecision::kInt8;
-  return std::nullopt;
-}
-
 GridScoringCache Surrogate::make_scoring_cache(
-    std::span<const lambda::Config> configs, ScoringPrecision precision) const {
+    std::span<const lambda::Config> configs) const {
   DEEPBAT_CHECK(!configs.empty(), "make_scoring_cache: no configs");
   GridScoringCache cache;
-  cache.precision_ = precision;
   const auto n = static_cast<std::int64_t>(configs.size());
   cache.n_ = n;
   const std::int64_t f = config_.feature_dim;
   const std::int64_t d = config_.model_dim;
   const std::int64_t fe = config_.feature_embed_dim;
   const std::int64_t h = config_.ffn_hidden;
-  const std::int64_t o = config_.output_dim;
   nn::NoGradGuard no_grad;
 
   // Plain copies (features, weight slices) go straight to stable storage:
@@ -261,7 +239,7 @@ GridScoringCache Surrogate::make_scoring_cache(
   }
 
   // E_2 through the same autograd ops as the composed head, so the fused
-  // fp32 pass consumes bit-identical feature embeddings.
+  // pass consumes bit-identical feature embeddings.
   {
     nn::arena::Scope scope;
     nn::Var std_feats =
@@ -272,68 +250,7 @@ GridScoringCache Surrogate::make_scoring_cache(
     cache.e2_ = e2->value.clone();
   }
 
-  // The feature half of head fc1 (+ its bias), constant per grid: the
-  // reduced-precision paths and calibration start from this instead of
-  // re-multiplying E_2 every tick.
-  {
-    nn::arena::Pause heap;
-    cache.h_feat_ = nn::Tensor({n, h});
-    nn::kernels::gemm(cache.e2_.data(), cache.w1_bot_.data(),
-                      cache.h_feat_.data(), n, fe, h, false, false, false);
-    const float* b1 = cache.b1_.data();
-    for (std::int64_t r = 0; r < n; ++r) {
-      float* row = cache.h_feat_.data() + r * h;
-      for (std::int64_t j = 0; j < h; ++j) row[j] += b1[j];
-    }
-  }
-
-  switch (precision) {
-    case ScoringPrecision::kFp16:
-      cache.w2_h_ = nn::HalfMatrix::from_tensor(cache.w2_);
-      break;
-    case ScoringPrecision::kInt8:
-      cache.w2_q_ = nn::QuantizedMatrix::from_tensor(cache.w2_);
-      break;
-    case ScoringPrecision::kFp32:
-      break;
-  }
-  (void)o;
   return cache;
-}
-
-void Surrogate::calibrate_scoring_cache(GridScoringCache& cache,
-                                        std::span<const float> windows,
-                                        std::size_t count) const {
-  DEEPBAT_CHECK(cache.n_ > 0, "calibrate_scoring_cache: empty cache");
-  DEEPBAT_CHECK(count > 0, "calibrate_scoring_cache: no sample windows");
-  DEEPBAT_CHECK(static_cast<std::int64_t>(windows.size()) ==
-                    static_cast<std::int64_t>(count) * config_.sequence_length,
-                "calibrate_scoring_cache: window buffer size mismatch");
-  const std::int64_t d = config_.model_dim;
-  const std::int64_t h = config_.ffn_hidden;
-  const auto rows = static_cast<std::int64_t>(count);
-  nn::NoGradGuard no_grad;
-  nn::arena::Scope scope;
-  nn::Tensor seq({rows, config_.sequence_length, 1});
-  std::copy(windows.begin(), windows.end(), seq.data());
-  const nn::Tensor e1 = encode_sequence(seq);
-  nn::Tensor u({rows, h});
-  nn::kernels::gemm(e1.data(), cache.w1_top_.data(), u.data(), rows, d, h,
-                    false, false, false);
-  // Post-ReLU hidden activations are non-negative, so the absmax is just
-  // the largest positive pre-activation over every (window, config) pair.
-  float absmax = 0.0F;
-  const float* hf = cache.h_feat_.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* urow = u.data() + r * h;
-    for (std::int64_t i = 0; i < cache.n_; ++i) {
-      const float* frow = hf + i * h;
-      for (std::int64_t j = 0; j < h; ++j) {
-        absmax = std::max(absmax, frow[j] + urow[j]);
-      }
-    }
-  }
-  cache.hidden_scale_ = absmax / 127.0F;
 }
 
 void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
@@ -352,104 +269,66 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
   DEEPBAT_CHECK(static_cast<std::int64_t>(out.size()) == R * n * o,
                 "predict_grid_from_e1_batch: output buffer size mismatch");
   if (R == 0) return;
-  nn::NoGradGuard no_grad;
-  nn::arena::Scope scope;
 
-  if (cache.precision_ == ScoringPrecision::kFp32) {
-    // Exact path, tenant by tenant. The composed head runs head fc1 as one
-    // gemm over concat(E_1, E_2), and the kernel builds every hidden element
-    // as one l-sequential FMA chain: the E_1 terms, then the E_2 terms. That
-    // chain is split here without changing a bit: its E_1 half depends only
-    // on the tenant, so it runs once per tenant, in a full kMr tile (the
-    // same register-tile code the concat rows run in); every grid row then
-    // continues the carried partial sums over its E_2 terms through
-    // gemm(..., accumulate=true), which resumes the chain from C. No concat
-    // matrix is built, and the E_1 half is not recomputed per config.
-    // Tenants are independent, so they run in parallel: each GEMM below is
-    // too small to split across threads on its own.
-    constexpr std::int64_t kMr = nn::kernels::kMr;
-    const float* b1 = cache.b1_.data();
-    const float* b2 = cache.b2_.data();
-    parallel_for(
-        static_cast<std::size_t>(R),
-        [&](std::size_t tenant) {
-          const auto r = static_cast<std::int64_t>(tenant);
-          auto& e1_tile = tl_score_e1_tile;
-          auto& e1_half = tl_score_e1_half;
-          auto& hidden = tl_score_hidden;
-          if (e1_tile.size() < static_cast<std::size_t>(kMr * d)) {
-            e1_tile.resize(kMr * d);
+  // Tenant by tenant. The composed head runs head fc1 as one gemm over
+  // concat(E_1, E_2), and the kernel builds every hidden element as one
+  // l-sequential FMA chain: the E_1 terms, then the E_2 terms. That chain
+  // is split here without changing a bit: its E_1 half depends only on the
+  // tenant, so it runs once per tenant, in a full kMr tile (the same
+  // register-tile code the concat rows run in); every grid row then
+  // continues the carried partial sums over its E_2 terms through
+  // gemm(..., accumulate=true), which resumes the chain from C. No concat
+  // matrix is built, and the E_1 half is not recomputed per config.
+  // Tenants are independent, so they run in parallel: each GEMM below is
+  // too small to split across threads on its own. Scratch is thread-local
+  // plain memory, so the pass needs no arena or autograd scope.
+  constexpr std::int64_t kMr = nn::kernels::kMr;
+  const float* b1 = cache.b1_.data();
+  const float* b2 = cache.b2_.data();
+  parallel_for(
+      static_cast<std::size_t>(R),
+      [&](std::size_t tenant) {
+        const auto r = static_cast<std::int64_t>(tenant);
+        auto& e1_tile = tl_score_e1_tile;
+        auto& e1_half = tl_score_e1_half;
+        auto& hidden = tl_score_hidden;
+        if (e1_tile.size() < static_cast<std::size_t>(kMr * d)) {
+          e1_tile.resize(kMr * d);
+        }
+        if (e1_half.size() < static_cast<std::size_t>(kMr * h)) {
+          e1_half.resize(kMr * h);
+        }
+        if (hidden.size() < static_cast<std::size_t>(n * h)) {
+          hidden.resize(n * h);
+        }
+        const float* e1_row = e1_rows.data() + r * d;
+        for (std::int64_t t = 0; t < kMr; ++t) {
+          std::copy(e1_row, e1_row + d, e1_tile.data() + t * d);
+        }
+        nn::kernels::gemm(e1_tile.data(), cache.w1_top_.data(),
+                          e1_half.data(), kMr, d, h, false, false, false);
+        float* hp = hidden.data();
+        for (std::int64_t i = 0; i < n; ++i) {
+          std::copy(e1_half.data(), e1_half.data() + h, hp + i * h);
+        }
+        nn::kernels::gemm(cache.e2_.data(), cache.w1_bot_.data(), hp, n, fe,
+                          h, false, false, true);
+        for (std::int64_t i = 0; i < n; ++i) {
+          float* row = hp + i * h;
+          for (std::int64_t j = 0; j < h; ++j) {
+            const float v = row[j] + b1[j];
+            row[j] = v > 0.0F ? v : 0.0F;
           }
-          if (e1_half.size() < static_cast<std::size_t>(kMr * h)) {
-            e1_half.resize(kMr * h);
-          }
-          if (hidden.size() < static_cast<std::size_t>(n * h)) {
-            hidden.resize(n * h);
-          }
-          const float* e1_row = e1_rows.data() + r * d;
-          for (std::int64_t t = 0; t < kMr; ++t) {
-            std::copy(e1_row, e1_row + d, e1_tile.data() + t * d);
-          }
-          nn::kernels::gemm(e1_tile.data(), cache.w1_top_.data(),
-                            e1_half.data(), kMr, d, h, false, false, false);
-          float* hp = hidden.data();
-          for (std::int64_t i = 0; i < n; ++i) {
-            std::copy(e1_half.data(), e1_half.data() + h, hp + i * h);
-          }
-          nn::kernels::gemm(cache.e2_.data(), cache.w1_bot_.data(), hp, n, fe,
-                            h, false, false, true);
-          for (std::int64_t i = 0; i < n; ++i) {
-            float* row = hp + i * h;
-            for (std::int64_t j = 0; j < h; ++j) {
-              const float v = row[j] + b1[j];
-              row[j] = v > 0.0F ? v : 0.0F;
-            }
-          }
-          float* tenant_out = out.data() + r * n * o;
-          nn::kernels::gemm(hp, cache.w2_.data(), tenant_out, n, h, o, false,
-                            false, false);
-          for (std::int64_t i = 0; i < n; ++i) {
-            float* row = tenant_out + i * o;
-            for (std::int64_t j = 0; j < o; ++j) row[j] += b2[j];
-          }
-        },
-        1);
-    return;
-  }
-
-  // Reduced precision: the feature half (E_2 @ W1_bot + b1) is constant
-  // across ticks and cached, so the hidden layer is one broadcast add +
-  // ReLU; only the per-config output GEMM runs quantized. The live half of
-  // head fc1 — U = E_1 @ W1_top, [R, h] — stays fp32 at every precision:
-  // it is O(tenants), not O(tenants * grid).
-  const std::int64_t rows = R * n;
-  nn::Tensor hidden({rows, h});
-  float* hp = hidden.data();
-  nn::Tensor u({R, h});
-  nn::kernels::gemm(e1_rows.data(), cache.w1_top_.data(), u.data(), R, d, h,
-                    false, false, false);
-  const float* hf = cache.h_feat_.data();
-  for (std::int64_t r = 0; r < R; ++r) {
-    const float* urow = u.data() + r * h;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* frow = hf + i * h;
-      float* row = hp + (r * n + i) * h;
-      for (std::int64_t j = 0; j < h; ++j) {
-        const float v = frow[j] + urow[j];
-        row[j] = v > 0.0F ? v : 0.0F;
-      }
-    }
-  }
-  const std::span<const float> hidden_span{hp,
-                                           static_cast<std::size_t>(rows * h)};
-  const std::span<const float> b2_span{cache.b2_.data(),
-                                       static_cast<std::size_t>(o)};
-  if (cache.precision_ == ScoringPrecision::kFp16) {
-    nn::half_linear(hidden_span, rows, cache.w2_h_, b2_span, out);
-  } else {
-    nn::quantized_linear(hidden_span, rows, cache.w2_q_, b2_span, out,
-                         cache.hidden_scale_);
-  }
+        }
+        float* tenant_out = out.data() + r * n * o;
+        nn::kernels::gemm(hp, cache.w2_.data(), tenant_out, n, h, o, false,
+                          false, false);
+        for (std::int64_t i = 0; i < n; ++i) {
+          float* row = tenant_out + i * o;
+          for (std::int64_t j = 0; j < o; ++j) row[j] += b2[j];
+        }
+      },
+      1);
 }
 
 void Surrogate::predict_grid_from_e1_batch(

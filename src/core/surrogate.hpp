@@ -20,12 +20,9 @@
 // BATCH re-solves matrix equations per configuration (§IV-F).
 
 #include <memory>
-#include <optional>
-#include <string_view>
 
 #include "core/encoding.hpp"
 #include "nn/data.hpp"
-#include "nn/quant.hpp"
 #include "nn/recurrent.hpp"
 #include "nn/transformer.hpp"
 
@@ -75,51 +72,30 @@ struct FeatureStandardizer {
 /// kernels::kMr, so a full tile's GEMMs run whole register tiles only.
 inline constexpr std::int64_t kEncodeTile = 4;
 
-/// Arithmetic used by the fused grid-scoring pass (DESIGN.md §12).
-///   kFp32 — exact: bit-identical to the composed autograd head, any batch.
-///   kFp16 — the per-config GEMM runs on binary16-stored weights (fp32
-///           math on the rounded values).
-///   kInt8 — the per-config GEMM runs int8 x int8 -> int32 with symmetric
-///           per-output-channel weight scales and per-row (dynamic or
-///           calibrated) activation scales.
-/// Both reduced precisions keep the live E_1 projection in fp32 — only the
-/// [tenants * grid, hidden] -> outputs stage, the part that scales with the
-/// grid, is quantized — so the error is bounded by one activation + one
-/// weight rounding. All three are row-local and therefore shard-invariant.
-enum class ScoringPrecision { kFp32, kFp16, kInt8 };
-
-const char* to_string(ScoringPrecision precision);
-/// Parse "fp32" / "fp16" / "int8" (CLI --precision values).
-std::optional<ScoringPrecision> parse_scoring_precision(std::string_view name);
+/// Arithmetic of the fused grid-scoring pass (DESIGN.md §12). Scoring is
+/// always exact fp32, bit-identical to the composed autograd head at any
+/// batch; the enumerator remains as SurrogateBatchScorer's argument.
+enum class ScoringPrecision { kFp32 };
 
 /// Immutable per-grid scoring state: the raw feature tensor, the feature
-/// branch's output E_2, the head weights sliced for the fused pass, and —
-/// for reduced precisions — the quantized weight images plus the cached
-/// feature half of the first head layer. Built once per (grid, precision)
-/// by Surrogate::make_scoring_cache; configs are immutable after
-/// construction, so none of this is recomputed per tick.
+/// branch's output E_2, and the head weights sliced for the fused pass.
+/// Built once per grid by Surrogate::make_scoring_cache; configs are
+/// immutable after construction, so none of this is recomputed per tick.
 ///
 /// Thread safety: scoring reads the cache const (per-call scratch lives in
 /// the thread-local arena), so one cache may serve several runtime shards
-/// concurrently. calibrate_scoring_cache mutates it and must happen-before
-/// any concurrent scoring.
+/// concurrently.
 class GridScoringCache {
  public:
   GridScoringCache() = default;
 
   std::int64_t grid_size() const { return n_; }
-  ScoringPrecision precision() const { return precision_; }
   /// Raw [n, feature_dim] features, encoded once at construction.
   const nn::Tensor& features() const { return features_; }
-  /// True once a static activation scale has been calibrated (int8 path;
-  /// uncalibrated caches quantize activations dynamically per row).
-  bool calibrated() const { return hidden_scale_ > 0.0F; }
-  float hidden_scale() const { return hidden_scale_; }
 
  private:
   friend class Surrogate;
 
-  ScoringPrecision precision_ = ScoringPrecision::kFp32;
   std::int64_t n_ = 0;       // grid size
   nn::Tensor features_;      // [n, feature_dim] raw
   nn::Tensor e2_;            // [n, feature_embed_dim] feature-branch output
@@ -128,15 +104,6 @@ class GridScoringCache {
   nn::Tensor b1_;            // [hidden]
   nn::Tensor w2_;            // [hidden, output_dim]
   nn::Tensor b2_;            // [output_dim]
-  /// E_2 @ w1_bot + b1, cached for the reduced-precision paths: the feature
-  /// half of the first head layer is constant across tenants AND ticks, so
-  /// they only recompute the E_1 half per tick. (The exact fp32 path
-  /// accumulates the E_2 half onto each tenant's E_1 half instead, to keep
-  /// the composed path's summation order bit-for-bit.)
-  nn::Tensor h_feat_;        // [n, hidden]
-  nn::QuantizedMatrix w2_q_;  // int8 image of w2_
-  nn::HalfMatrix w2_h_;       // fp16 image of w2_
-  float hidden_scale_ = 0.0F;  // calibrated static activation scale
 };
 
 class Surrogate : public nn::Module {
@@ -170,28 +137,17 @@ class Surrogate : public nn::Module {
       std::span<const float> e1_row,
       std::span<const lambda::Config> configs) const;
 
-  /// Build the immutable scoring state for `configs` at `precision`:
-  /// encodes the features once, runs the feature branch once, slices the
-  /// head weights, and quantizes them as the precision requires.
-  GridScoringCache make_scoring_cache(std::span<const lambda::Config> configs,
-                                      ScoringPrecision precision) const;
-
-  /// Calibrate the cache's static activation scale from a sample of
-  /// windows (`count` concatenated length-l windows): encodes them, runs
-  /// the fused pass in fp32, and records the absmax of the hidden
-  /// activations. Until called, the int8 path quantizes dynamically per
-  /// row (also deterministic and shard-invariant, one absmax pass slower).
-  void calibrate_scoring_cache(GridScoringCache& cache,
-                               std::span<const float> windows,
-                               std::size_t count) const;
+  /// Build the immutable scoring state for `configs`: encodes the features
+  /// once, runs the feature branch once, and slices the head weights.
+  GridScoringCache make_scoring_cache(
+      std::span<const lambda::Config> configs) const;
 
   /// The fused multi-tenant scoring pass: score `row_count` E_1 rows
   /// (concatenated, [row_count, model_dim]) against the cache's whole grid
   /// in one pass. `out` receives row_count * grid_size * output_dim floats,
   /// tenant-major (tenant r's grid occupies rows [r*n, (r+1)*n)). Row r of
-  /// the result is bit-identical to scoring row r alone, at every
-  /// precision — fp32 exactly reproduces the composed autograd head, and
-  /// the quantized paths quantize activations row-locally.
+  /// the result is bit-identical to scoring row r alone and to the composed
+  /// autograd head.
   void predict_grid_from_e1_batch(std::span<const float> e1_rows,
                                   std::size_t row_count,
                                   const GridScoringCache& cache,

@@ -155,7 +155,7 @@ void AdaptiveController::step_learner(double now) {
       ++shadow_wins_;
       const core::Surrogate* next =
           store_.adopt(std::move(outcome.candidate), now);
-      swap_surrogate(*next);  // encoder cache drop + scorer rebuild +
+      swap_surrogate(*next);  // encoder memo drop + scorer rebuild +
                               // breaker to HalfOpen
       drift_.reset();
     } else {
@@ -217,7 +217,7 @@ void AdaptiveController::restore_state(sim::CheckpointReader& r) {
   store_.restore_state(r);
   if (store_.version() > 0) {
     // Rebind the engine to the restored incumbent before the base restore:
-    // the rebind drops the encoder cache and half-opens the breaker, and
+    // the rebind drops the encoder memo and half-opens the breaker, and
     // the base restore then overwrites both with the checkpointed state.
     swap_surrogate(*store_.current());
   }

@@ -50,7 +50,6 @@ obs::Histogram& sdpa_hist() {
 // concurrently. Capacity is retained across calls.
 thread_local std::vector<float> tl_pack_a;
 thread_local std::vector<float> tl_pack_b;
-thread_local std::vector<float> tl_f16_b;  // dequantized fp16 weight panel
 thread_local std::vector<float> tl_sdpa_row;
 thread_local std::vector<float> tl_sdpa_kt;
 thread_local std::vector<float> tl_sdpa_vt;
@@ -835,207 +834,5 @@ void fused_sdpa_generic(const float* q, const float* k, const float* v,
 }
 
 }  // namespace detail
-
-// Same -O3 loop-vectorizer pathology as the skinny float tiles above (and
-// integer accumulation is order-independent anyway, so there is not even a
-// bit-pattern question here): pin the int8 tile loops to SLP-only. The loops
-// live in a named function rather than in gemm_s8's parallel_for lambda
-// because the optimize pragma binds to functions *defined* in the region — a
-// lambda body inlined into parallel_for's instantiation (compiled outside the
-// region) silently loses the flag.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize("no-tree-loop-vectorize")
-#endif
-
-namespace {
-
-// Compile-time-N tile for the skinny shapes the scoring path emits (n <= 8).
-// Fixed column bounds are what let GCC keep the j-loops as straight SLP code;
-// with runtime nr the no-loop-vectorize flag leaves them scalar (~3x slower).
-// The r < mr bound stays runtime on purpose: a sub-kMr tail then runs through
-// the SAME loop body as full tiles, and since int32 accumulation is exact the
-// per-row results are identical no matter how rows are grouped — no float
-// overlap trick needed here.
-template <int N>
-#if defined(__GNUC__) || defined(__clang__)
-// Inlining back into the lambda would discard the pragma above.
-__attribute__((noinline))
-#endif
-void gemm_s8_rows_n(const std::int8_t* A, const std::int8_t* B, float* C,
-                    std::int64_t k, std::int64_t begin, std::int64_t end,
-                    const float* row_scale, const float* col_scale,
-                    const float* bias, bool accumulate) {
-  for (std::int64_t i0 = begin; i0 < end; i0 += kMr) {
-    const std::int64_t mr = std::min<std::int64_t>(kMr, end - i0);
-    std::int32_t acc[kMr][N] = {};
-    for (std::int64_t l = 0; l < k; ++l) {
-      const std::int8_t* brow = B + l * N;
-      for (std::int64_t r = 0; r < mr; ++r) {
-        const auto av = static_cast<std::int32_t>(A[(i0 + r) * k + l]);
-        for (int j = 0; j < N; ++j) {
-          acc[r][j] += av * static_cast<std::int32_t>(brow[j]);
-        }
-      }
-    }
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* crow = C + (i0 + r) * N;
-      const float sa = row_scale[i0 + r];
-      for (int j = 0; j < N; ++j) {
-        // Fixed epilogue contract (see the golden test): one rounded product
-        // of the scales, then a single-rounded fma against the bias.
-        const float s = sa * col_scale[j];
-        const float af = static_cast<float>(acc[r][j]);
-        const float v = bias != nullptr ? std::fmaf(s, af, bias[j]) : s * af;
-        crow[j] = accumulate ? crow[j] + v : v;
-      }
-    }
-  }
-}
-
-// Generic runtime-bounds fallback for wider outputs.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void gemm_s8_rows(const std::int8_t* A, const std::int8_t* B, float* C,
-                  std::int64_t k, std::int64_t n, std::int64_t begin,
-                  std::int64_t end, const float* row_scale,
-                  const float* col_scale, const float* bias, bool accumulate) {
-  for (std::int64_t i0 = begin; i0 < end; i0 += kMr) {
-    const std::int64_t mr = std::min<std::int64_t>(kMr, end - i0);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
-      const std::int64_t nr = std::min<std::int64_t>(kNr, n - j0);
-      // int32 accumulation is exact, so unlike the float tiles there is no
-      // full/edge split to keep orders aligned — one bounded tile covers
-      // both.
-      std::int32_t acc[kMr][kNr] = {};
-      for (std::int64_t l = 0; l < k; ++l) {
-        const std::int8_t* brow = B + l * n + j0;
-        for (std::int64_t r = 0; r < mr; ++r) {
-          const auto av = static_cast<std::int32_t>(A[(i0 + r) * k + l]);
-          for (std::int64_t j = 0; j < nr; ++j) {
-            acc[r][j] += av * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      }
-      // Dequantizing epilogue, same fixed contract as the tile above.
-      for (std::int64_t r = 0; r < mr; ++r) {
-        float* crow = C + (i0 + r) * n + j0;
-        const float sa = row_scale[i0 + r];
-        for (std::int64_t j = 0; j < nr; ++j) {
-          const float s = sa * col_scale[j0 + j];
-          const float af = static_cast<float>(acc[r][j]);
-          const float v =
-              bias != nullptr ? std::fmaf(s, af, bias[j0 + j]) : s * af;
-          crow[j] = accumulate ? crow[j] + v : v;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif
-
-void gemm_s8(const std::int8_t* A, const std::int8_t* B, float* C,
-             std::int64_t m, std::int64_t k, std::int64_t n,
-             const float* row_scale, const float* col_scale, const float* bias,
-             bool accumulate) {
-  if (m == 0 || n == 0) return;
-  const std::int64_t blocks = (m + kRowBlock - 1) / kRowBlock;
-  // Same grain policy as the float kernels; int8 MACs are cheaper than
-  // flops, so if anything this over-serializes, which is the safe side.
-  const std::size_t grain = row_block_grain(blocks, m, k, n);
-  parallel_for(
-      static_cast<std::size_t>(blocks),
-      [&](std::size_t blk) {
-        const std::int64_t begin = static_cast<std::int64_t>(blk) * kRowBlock;
-        const std::int64_t end = std::min(m, begin + kRowBlock);
-        switch (n) {
-          case 1:
-            gemm_s8_rows_n<1>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 2:
-            gemm_s8_rows_n<2>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 3:
-            gemm_s8_rows_n<3>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 4:
-            gemm_s8_rows_n<4>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 5:
-            gemm_s8_rows_n<5>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 6:
-            gemm_s8_rows_n<6>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 7:
-            gemm_s8_rows_n<7>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          case 8:
-            gemm_s8_rows_n<8>(A, B, C, k, begin, end, row_scale, col_scale,
-                              bias, accumulate);
-            break;
-          default:
-            gemm_s8_rows(A, B, C, k, n, begin, end, row_scale, col_scale,
-                         bias, accumulate);
-            break;
-        }
-      },
-      grain);
-}
-
-// Unlike the GEMM tiles above, this row-wise pass *wants* the loop vectorizer
-// (plain elementwise reductions and maps), so it sits outside the pragma
-// region. Both loops are written to vectorize: a branchless max instead of
-// std::max over libm fabs results, and __builtin_rintf — same
-// round-to-nearest-even semantics as lrintf but with a SIMD lowering.
-void quantize_rows_s8(const float* x, std::int64_t rows, std::int64_t cols,
-                      std::int8_t* q, float* scales, float static_scale) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = x + r * cols;
-    std::int8_t* qrow = q + r * cols;
-    float scale = static_scale;
-    if (scale <= 0.0F) {
-      float absmax = 0.0F;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float a = std::fabs(row[c]);
-        absmax = absmax < a ? a : absmax;
-      }
-      scale = absmax / 127.0F;
-    }
-    scales[r] = scale;
-    if (scale == 0.0F) {
-      std::fill(qrow, qrow + cols, std::int8_t{0});
-      continue;
-    }
-    const float inv = 1.0F / scale;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const auto v = static_cast<std::int32_t>(__builtin_rintf(row[c] * inv));
-      qrow[c] = static_cast<std::int8_t>(std::clamp(v, -127, 127));
-    }
-  }
-}
-
-void gemm_f16w(const float* A, const std::uint16_t* B, float* C,
-               std::int64_t m, std::int64_t k, std::int64_t n,
-               bool accumulate) {
-  const auto need = static_cast<std::size_t>(k * n);
-  if (tl_f16_b.size() < need) tl_f16_b.resize(need);
-  float* panel = tl_f16_b.data();
-  for (std::size_t i = 0; i < need; ++i) panel[i] = fp16_to_fp32(B[i]);
-  gemm(A, panel, C, m, k, n, false, false, accumulate);
-}
 
 }  // namespace deepbat::nn::kernels

@@ -15,7 +15,6 @@
 // back to them at runtime.
 
 #include <cstdint>
-#include <cstring>
 
 namespace deepbat::nn::kernels {
 
@@ -75,98 +74,6 @@ void fused_sdpa_generic(const float* q, const float* k, const float* v,
                         float scale, const float* mask = nullptr);
 }  // namespace detail
 
-/// C[m,n] (+)= row_scale[i] * col_scale[j] * sum_l A[i,l] * B[l,j] with
-/// int8 operands and exact int32 accumulation (k must stay < 2^24 so the
-/// accumulator cannot overflow: 127 * 127 * 2^24 < 2^31). A is [m,k]
-/// row-major int8 (per-row scales, symmetric), B is [k,n] row-major int8
-/// (per-column scales, symmetric). `bias`, when non-null, is added in the
-/// dequantizing epilogue: C[i,j] = s_a[i]*s_b[j]*acc + bias[j]. Integer
-/// accumulation is order-independent, so the determinism contract is free.
-void gemm_s8(const std::int8_t* A, const std::int8_t* B, float* C,
-             std::int64_t m, std::int64_t k, std::int64_t n,
-             const float* row_scale, const float* col_scale, const float* bias,
-             bool accumulate);
-
-/// Symmetric per-row int8 quantization of a row-major [rows, cols] float
-/// matrix: scales[i] = absmax(row i) / 127 (or `static_scale` for every row
-/// when static_scale > 0, e.g. from calibration), q = clamp(rint(x/scale)).
-/// A zero row (or zero static scale) quantizes to all-zero with scale 0.
-/// Row-local by construction, so a row's quantization never depends on what
-/// else is in the batch — this is what keeps batched scoring shard-invariant.
-void quantize_rows_s8(const float* x, std::int64_t rows, std::int64_t cols,
-                      std::int8_t* q, float* scales, float static_scale = 0.0F);
-
-/// C[m,n] (+)= A[m,k] * dequant(B), with B stored as IEEE-754 binary16 in
-/// [k,n] row-major order. The weight panel is expanded to fp32 in a
-/// thread-local scratch buffer and the math runs through the fp32 blocked
-/// kernel, so results equal gemm() on the fp16-rounded weights exactly.
-void gemm_f16w(const float* A, const std::uint16_t* B, float* C, std::int64_t m,
-               std::int64_t k, std::int64_t n, bool accumulate);
-
-// --- scalar IEEE binary16 conversions (software; round-to-nearest-even) ---
-
-inline float fp16_to_fp32(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000U) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1FU;
-  const std::uint32_t mant = h & 0x3FFU;
-  std::uint32_t bits;
-  if (exp == 0) {
-    if (mant == 0) {
-      bits = sign;  // signed zero
-    } else {
-      // Subnormal half: normalize the mantissa into a fp32 normal. A
-      // subnormal's value is mant * 2^-24, i.e. implicit exponent -14 with
-      // no hidden bit, so the bias here is 127 - 14 (one more than the
-      // normal case, which shares the -14 exponent WITH a hidden bit).
-      std::uint32_t m = mant;
-      std::uint32_t e = 113;  // 127 - 14
-      while ((m & 0x400U) == 0) {
-        m <<= 1;
-        --e;
-      }
-      bits = sign | (e << 23) | ((m & 0x3FFU) << 13);
-    }
-  } else if (exp == 31) {
-    bits = sign | 0x7F800000U | (mant << 13);  // inf / NaN
-  } else {
-    bits = sign | ((exp + 112) << 23) | (mant << 13);
-  }
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-inline std::uint16_t fp32_to_fp16(float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  const auto sign = static_cast<std::uint16_t>((bits >> 16) & 0x8000U);
-  const std::uint32_t abs = bits & 0x7FFFFFFFU;
-  if (abs >= 0x7F800000U) {  // inf / NaN (NaN keeps a payload bit set)
-    return static_cast<std::uint16_t>(
-        sign | (abs > 0x7F800000U ? 0x7E00U : 0x7C00U));
-  }
-  const auto exp = static_cast<std::int32_t>(abs >> 23) - 127;
-  if (exp > 15) return static_cast<std::uint16_t>(sign | 0x7C00U);  // overflow
-  const std::uint32_t mant = (abs & 0x7FFFFFU) | 0x800000U;
-  if (exp >= -14) {  // normal half
-    auto half = static_cast<std::uint32_t>(sign) |
-                (static_cast<std::uint32_t>(exp + 15) << 10) |
-                ((mant & 0x7FFFFFU) >> 13);
-    const std::uint32_t rem = mant & 0x1FFFU;
-    if (rem > 0x1000U || (rem == 0x1000U && (half & 1U))) ++half;
-    // A mantissa carry walks into the exponent with the right value, so no
-    // special case is needed at the normal/overflow boundaries.
-    return static_cast<std::uint16_t>(half);
-  }
-  if (exp < -25) return sign;  // underflows to signed zero even after rounding
-  // Subnormal half: shift the 24-bit significand down to 2^-24 units.
-  const std::int32_t shift = -exp - 1;  // 14..25
-  std::uint32_t half = mant >> shift;
-  const std::uint32_t halfway = 1U << (shift - 1);
-  const std::uint32_t rem = mant & ((halfway << 1) - 1);
-  if (rem > halfway || (rem == halfway && (half & 1U))) ++half;
-  return static_cast<std::uint16_t>(sign | half);
-}
 
 // Blocking parameters, exposed so tests can probe the edge cases around
 // them (shapes that are not multiples of the tile sizes).

@@ -21,7 +21,7 @@ class Linear : public Module {
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
 
-  /// Parameter access for fused/quantized inference paths that bypass the
+  /// Parameter access for fused inference paths that bypass the
   /// autograd forward (e.g. the surrogate's grid-scoring cache).
   const Var& weight() const { return weight_; }
   const Var& bias() const { return bias_; }  // null Var when bias == false

@@ -27,7 +27,9 @@
 
 namespace deepbat::sim {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Bumped whenever a checkpointed component's layout changes (DESIGN.md
+/// §16), so a snapshot in an older layout is rejected as version skew.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Append-only byte buffer for checkpoint payloads.
 class CheckpointWriter {

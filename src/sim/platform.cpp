@@ -9,11 +9,11 @@ PlatformRun run_platform(const workload::Trace& trace, Controller& controller,
                          const lambda::LambdaModel& model,
                          lambda::Config initial_config,
                          const PlatformOptions& options) {
-  // Single-tenant, single-shard, non-overlapped special case of the
-  // sharded runtime (sim/runtime.hpp); no batch encoder, so the controller
-  // runs its plain decide() path and no worker threads are spawned. Every
-  // sharded run is bit-identical per tenant to this wrapper.
-  Runtime runtime(nullptr, RuntimeOptions{.shards = 1, .overlap_encode = false});
+  // Single-tenant, single-shard special case of the sharded runtime
+  // (sim/runtime.hpp); no batch encoder, so the controller runs its plain
+  // decide() path and no worker threads are spawned. Every sharded run is
+  // bit-identical per tenant to this wrapper.
+  Runtime runtime(nullptr, RuntimeOptions{.shards = 1});
   TenantSpec spec;
   spec.name = controller.name();
   spec.trace = &trace;
@@ -30,7 +30,7 @@ PlatformRun run_platform(const workload::Trace& trace, Controller& controller,
                          const lambda::Backend& backend,
                          lambda::Config initial_config,
                          const PlatformOptions& options) {
-  Runtime runtime(nullptr, RuntimeOptions{.shards = 1, .overlap_encode = false});
+  Runtime runtime(nullptr, RuntimeOptions{.shards = 1});
   TenantSpec spec;
   spec.name = controller.name();
   spec.trace = &trace;

@@ -60,37 +60,17 @@ void Runtime::start() {
   runs_.assign(tenants_.size(), PlatformRun{});
   shards_.reserve(shard_count_);
 
-  // Overlap needs a pool slot for the in-flight encode; it can only pay
-  // off in a shard that owns at least two tenants (otherwise there is
-  // nothing to pre-advance while the forward runs).
-  const bool overlap = options_.overlap_encode && encoder_ != nullptr &&
-                       tenants_.size() > shard_count_;
-  const std::size_t pool_threads = (shard_count_ - 1) + (overlap ? 1 : 0);
-  if (pool_threads > 0) pool_.emplace(pool_threads);
+  // The calling thread executes shard 0; the pool runs the other shards.
+  if (shard_count_ > 1) pool_.emplace(shard_count_ - 1);
 
+  // The fused scorer rides the split path: without an encoder there are no
+  // split ticks to score.
+  BatchScorer* scorer = encoder_ != nullptr ? scorer_ : nullptr;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    BatchEncoder* encoder = encoder_;
-    if (encoder_ != nullptr && encoder_factory_ && shard_count_ > 1) {
-      owned_encoders_.push_back(encoder_factory_());
-      if (owned_encoders_.back() != nullptr) {
-        encoder = owned_encoders_.back().get();
-      }
-    }
-    // The fused scorer rides the split path: without an encoder there are
-    // no split ticks to score.
-    BatchScorer* scorer = encoder != nullptr ? scorer_ : nullptr;
-    if (scorer != nullptr && scorer_factory_ && shard_count_ > 1) {
-      owned_scorers_.push_back(scorer_factory_());
-      if (owned_scorers_.back() != nullptr) {
-        scorer = owned_scorers_.back().get();
-      }
-    }
     RuntimeShard::Options sopts;
     sopts.shard_id = s;
     sopts.shard_count = shard_count_;
-    sopts.overlap_encode = overlap;
-    sopts.pool = pool_.has_value() ? &*pool_ : nullptr;
-    shards_.push_back(std::make_unique<RuntimeShard>(sopts, encoder, scorer));
+    shards_.push_back(std::make_unique<RuntimeShard>(sopts, encoder_, scorer));
   }
   for (std::size_t s = 0; s < shard_count_; ++s) {
     shards_[s]->reserve(tenants_.size() / shard_count_ + 1);
@@ -144,13 +124,12 @@ std::vector<PlatformRun> Runtime::run() {
     //
     // Termination: an executor retires when every shard is finished, or
     // when a full scan claimed nothing while every unfinished shard was
-    // claimed by some other executor. The latter rule matters for
-    // liveness: an executor can be SUSPENDED holding a claim (its
-    // overlapped encode's helping wait may run another executor task
-    // nested on the same stack), and anyone spinning on its shard would
-    // deadlock the stack beneath. An executor that just released a claim
-    // always rescans before retiring, so the last holder of an unfinished
-    // shard either finishes it or hands it to a live executor.
+    // claimed by some other executor. A quantum submits no pool work, so a
+    // claim is only ever held by an executor that is running its quantum;
+    // retiring instead of spinning just leaves that shard to its holder.
+    // An executor that just released a claim always rescans before
+    // retiring, so the last holder of an unfinished shard either finishes
+    // it or hands it to a live executor.
     auto execute = [&shards, shard_count](std::size_t home) {
       for (;;) {
         bool all_finished = true;
@@ -177,9 +156,8 @@ std::vector<PlatformRun> Runtime::run() {
         }
         if (all_finished) return;
         if (!progressed) {
-          // Claimed nothing: every unfinished shard is being driven (or
-          // held) by another executor — retire rather than spin against a
-          // possibly-suspended holder.
+          // Claimed nothing: every unfinished shard is being driven by
+          // another executor — retire rather than spin against it.
           return;
         }
       }

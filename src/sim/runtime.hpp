@@ -14,26 +14,21 @@
 //                     bitwise-equal across tenants, shards, and solo runs.
 //   RuntimeShard    — one execution unit owning a deterministic subset of
 //                     tenants (slot i -> shard i mod S), their simulators
-//                     and engines (single-writer caches by construction),
-//                     and its own batch-encoder view. Within a shard, tick
-//                     groups are double-buffered: while group k's batched
-//                     encode() runs on the pool, the shard pre-advances
-//                     non-member tenants' arrival events to the next tick
-//                     instant, hiding control latency behind simulation
-//                     work.
+//                     and engines (single-writer memos by construction).
+//                     Each tick group's batched encode() runs inline on
+//                     the thread executing the shard.
 //   Runtime         — partitions tenants, runs shards on a WorkerPool
 //                     (common/parallel.hpp), and merges per-shard
 //                     RuntimeStats at join.
 //
 // Determinism contract (tests/sim/test_runtime.cpp): a run with ANY shard
-// count and with or without encode overlap is bit-identical per tenant to
-// N independent run_platform() replays. run_platform() itself is a
-// single-tenant, single-shard, non-overlapped wrapper over this loop.
+// count, with or without work stealing, is bit-identical per tenant to N
+// independent run_platform() replays. run_platform() itself is a
+// single-tenant, single-shard wrapper over this loop.
 
 #include <algorithm>
 #include <cstddef>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -51,8 +46,8 @@ class RuntimeShard;
 /// Kept abstract here so sim/ stays free of the nn dependency: the currency
 /// is plain float spans.
 ///
-/// Concurrency: encode() may be called from several runtime shards at
-/// once — on distinct per-shard instances or on one shared instance.
+/// Concurrency: every runtime shard encodes through the one instance passed
+/// to Runtime, so encode() may be called from several shards at once.
 /// Implementations must therefore be stateless across calls apart from the
 /// base-class counters (which are relaxed atomics); SurrogateBatchEncoder
 /// satisfies this by running a const model forward under thread-local
@@ -97,8 +92,8 @@ class BatchEncoder {
 /// plain float spans, so it never depends on nn/ or the core prediction
 /// types.
 ///
-/// Concurrency: score() may run on several shards at once (distinct or
-/// shared instances); implementations must be stateless across calls apart
+/// Concurrency: score() may run on several shards at once through the one
+/// shared instance; implementations must be stateless across calls apart
 /// from the relaxed base-class counters.
 class BatchScorer {
  public:
@@ -290,12 +285,6 @@ struct RuntimeOptions {
   /// shards, clamped to the tenant count). 1 replays every tenant on the
   /// calling thread, exactly the pre-sharding loop.
   std::size_t shards = 1;
-  /// Double-buffer tick groups: run each tick group's batched encode()
-  /// forward on the worker pool while the owning shard pre-advances
-  /// non-member tenants to the next tick instant. Only takes effect where
-  /// it can help — a shard with at least two tenants and a batch encoder.
-  /// Results are bit-identical either way.
-  bool overlap_encode = true;
   /// Work-stealing execution (DESIGN.md §15): instead of pinning shard k to
   /// executor k for its whole replay, every executor scans for a claimable
   /// shard (home shard first) and executes ONE tick group per claim, so an
@@ -319,29 +308,12 @@ class Runtime {
                    RuntimeOptions options = {});
   ~Runtime();
 
-  /// Per-shard encoder instances: when set (and non-null per call), each
-  /// shard encodes through its own factory-made instance, keeping even the
-  /// encoder's bench counters single-writer. Without a factory every shard
-  /// shares `shared_encoder`, which is safe (see BatchEncoder) but merges
-  /// all shards' calls()/windows_encoded() into one instance.
-  using EncoderFactory = std::function<std::unique_ptr<BatchEncoder>()>;
-  void set_encoder_factory(EncoderFactory factory) {
-    encoder_factory_ = std::move(factory);
-  }
-
   /// Shared fused grid scorer: when set, each shard scores all of a tick
   /// group's batched-scoring tenants (cache hits included) in one
   /// BatchScorer::score() pass and finishes them via finish_tick_scored().
   /// Requires a batch encoder (the split path). Null keeps the per-tenant
   /// scoring inside finish_tick(), exactly the pre-scorer loop.
   void set_scorer(BatchScorer* scorer) { scorer_ = scorer; }
-  /// Per-shard scorer instances, mirroring set_encoder_factory: when set,
-  /// each shard scores through its own factory-made instance so even the
-  /// scorer's bench counters stay single-writer.
-  using ScorerFactory = std::function<std::unique_ptr<BatchScorer>()>;
-  void set_scorer_factory(ScorerFactory factory) {
-    scorer_factory_ = std::move(factory);
-  }
 
   /// Size hint for bulk registration: reserves the tenant table once so a
   /// million add_tenant() calls don't pay geometric regrowth copies.
@@ -392,15 +364,13 @@ class Runtime {
   const RuntimeStats& stats() const { return stats_; }
 
  private:
-  /// Build the execution state once: partition tenants over shards, build
-  /// the worker pool and per-shard encoder/scorer instances. Idempotent.
+  /// Build the execution state once: partition tenants over shards and
+  /// build the worker pool. Idempotent.
   void start();
 
   BatchEncoder* encoder_;
   BatchScorer* scorer_ = nullptr;
   RuntimeOptions options_;
-  EncoderFactory encoder_factory_;
-  ScorerFactory scorer_factory_;
   std::vector<TenantSpec> tenants_;
   RuntimeStats stats_;
   // Config-validation memo (add_tenant): bulk registrations overwhelmingly
@@ -414,8 +384,6 @@ class Runtime {
   bool started_ = false;
   std::size_t shard_count_ = 1;
   std::optional<WorkerPool> pool_;
-  std::vector<std::unique_ptr<BatchEncoder>> owned_encoders_;
-  std::vector<std::unique_ptr<BatchScorer>> owned_scorers_;
   std::vector<std::unique_ptr<RuntimeShard>> shards_;
   std::vector<PlatformRun> runs_;
   /// Stats carried over from before a restore (zero for fresh runs); the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -101,8 +100,6 @@ void RuntimeShard::prepare() {
   shard_tag_ = options_.shard_count > 1
                    ? static_cast<std::uint32_t>(options_.shard_id)
                    : obs::kNoShard;
-  overlap_ = options_.overlap_encode && options_.pool != nullptr &&
-             encoder_ != nullptr && tenants_.size() > 1;
   encoding_dim_ = encoder_ != nullptr ? encoder_->encoding_dim() : 0;
   score_row_floats_ =
       scorer_ != nullptr ? scorer_->grid_size() * scorer_->target_dim() : 0;
@@ -174,38 +171,15 @@ RuntimeShard::Quantum RuntimeShard::run_quantum(double limit) {
     }
   }
 
-  // Phase 2 — ONE batched forward for every cache miss in this tick
-  // group. With overlap, the forward runs as a pool task while this
-  // thread pre-advances the group's non-members (their configs cannot
-  // change before the next tick instant, so their event replay is
-  // schedule-invariant); otherwise it runs inline, as the pre-sharding
-  // loop did.
+  // Phase 2 — ONE batched forward for every cache miss in this tick group.
   double encode_seconds = 0.0;
   if (batch_count > 0) {
     batch_out_.resize(batch_count * d);
-    const std::span<const float> windows_view = batch_windows_;
-    const std::span<float> out_view = batch_out_;
-    const std::uint32_t shard_tag = shard_tag_;
-    const auto encode_body = [&, windows_view, out_view, batch_count,
-                              shard_tag] {
-      obs::ShardScope encode_scope(shard_tag);
+    {
       obs::Span encode_span("sim.runtime.batch_encode");
       const auto encode_start = std::chrono::steady_clock::now();
-      encoder_->encode(windows_view, batch_count, out_view);
+      encoder_->encode(batch_windows_, batch_count, batch_out_);
       encode_seconds = seconds_since(encode_start);
-    };
-    if (overlap_) {
-      WorkerPool::Handle pending = options_.pool->submit(encode_body);
-      const double horizon = scheduler_.next_instant_after(t);
-      if (std::isfinite(horizon)) {
-        for (std::size_t i = 0; i < tenants_.size(); ++i) {
-          if (scheduler_.done(i) || scheduler_.tick_time(i) == t) continue;
-          process_events(tenants_[i], horizon);
-        }
-      }
-      pending.rethrow();
-    } else {
-      encode_body();
     }
     stats_.batched_windows += batch_count;
     ++stats_.encode_calls;
@@ -292,8 +266,7 @@ RuntimeShard::Quantum RuntimeShard::run_quantum(double limit) {
   h_group_->observe(group_seconds);
   if (h_shard_group_ != nullptr) h_shard_group_->observe(group_seconds);
   // Tenant event-loop share of the group: everything except the shared
-  // batched forward. Under overlap the two run concurrently, so this is
-  // the non-hidden remainder — exactly what double-buffering shrinks.
+  // batched forward.
   h_tenant_->observe(std::max(group_seconds - encode_seconds, 0.0));
   return Quantum::kRan;
 }

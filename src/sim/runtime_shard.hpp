@@ -3,10 +3,10 @@
 // §15). A RuntimeShard owns a subset of tenants end-to-end: their batching
 // simulators (arena-pooled, so a million-tenant shard is a handful of chunk
 // allocations instead of per-tenant heap churn), their controllers (and
-// therefore each controller's DecisionEngine / SequenceEncoder cache —
+// therefore each controller's DecisionEngine / SequenceEncoder memo —
 // single-writer by construction, since a tenant belongs to exactly one
-// shard), a TickScheduler over that subset, and a BatchEncoder view for the
-// shard's batched forwards.
+// shard), a TickScheduler over that subset, and the runtime's shared
+// BatchEncoder / BatchScorer for the shard's batched passes.
 //
 // Two ways to drive a shard:
 //
@@ -20,11 +20,10 @@
 //    executor. The executing thread changes; the computation does not — so
 //    per-tenant results stay bit-identical to run().
 //
-// Within a quantum, tick groups are double-buffered exactly as before:
-// while the group's batched encode() forward runs as a WorkerPool task, the
-// shard pre-advances every NON-member tenant's arrival events up to the
-// next tick instant (TickScheduler::next_instant_after). That horizon is
-// safe because no configuration can change before it.
+// A quantum runs entirely on the thread that holds the claim: the group's
+// batched encode and fused score run inline, and only the group's members
+// are advanced. A shard therefore never submits pool work or waits while
+// it holds its claim.
 //
 // Instrumentation: spans and sim.runtime.* metrics tick as before; a
 // multi-shard run additionally records sim.runtime.shard<k>.* histogram
@@ -53,11 +52,6 @@ class RuntimeShard {
   struct Options {
     std::size_t shard_id = 0;
     std::size_t shard_count = 1;
-    /// Double-buffer tick groups through `pool`. Requires pool != nullptr;
-    /// quietly degrades to the synchronous path for shards where overlap
-    /// cannot help (single tenant, no encoder).
-    bool overlap_encode = false;
-    WorkerPool* pool = nullptr;
   };
 
   /// `scorer` (optional) enables the fused grid-scoring pass: after the
@@ -157,8 +151,8 @@ class RuntimeShard {
     bool scored = false;                   // member of this tick's scoring
   };
 
-  /// One-time derived state (overlap eligibility, encoder dims), computed
-  /// lazily on the first quantum so registration stays allocation-only.
+  /// One-time derived state (shard tag, encoder dims), computed lazily on
+  /// the first quantum so registration stays allocation-only.
   void prepare();
 
   /// Deliver arrivals up to `t` and fire any batch deadline that elapsed.
@@ -183,7 +177,6 @@ class RuntimeShard {
 
   // Derived by prepare(); stable for the rest of the replay.
   bool prepared_ = false;
-  bool overlap_ = false;
   std::uint32_t shard_tag_ = 0;
   std::size_t encoding_dim_ = 0;
   std::size_t score_row_floats_ = 0;  // grid_size * target_dim per scored row

@@ -164,60 +164,6 @@ std::optional<double> TickScheduler::next_group(
   }
 }
 
-double TickScheduler::next_instant_after(double t) const {
-  if (live_ == 0) return kInf;
-  if (buckets_.empty()) {
-    // Ticking has not started (no next_group yet): answer with the direct
-    // scan — the only phase where an O(slots) pass is acceptable.
-    double next = kInf;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& s = slots_[i];
-      if (s.done) continue;
-      double candidate = tick_time(i);
-      if (candidate == t) {
-        candidate = static_cast<double>(s.tick_index + 1) * s.interval;
-        if (candidate > s.end) continue;  // will retire after this tick
-      }
-      if (candidate < next) next = candidate;
-    }
-    return next;
-  }
-  double best = kInf;
-  // Members tick next one grid step on; equal (bitwise) instants share one
-  // bucket, so t's bucket holds every member — plus any near non-member.
-  const std::int64_t at = abs_bucket(t);
-  for (const Event& e :
-       buckets_[static_cast<std::size_t>(at) & bucket_mask_]) {
-    if (stale(e)) continue;
-    if (e.t == t) {
-      const Slot& s = slots_[e.slot];
-      const double next =
-          static_cast<double>(s.tick_index + 1) * s.interval;
-      if (next <= s.end && next < best) best = next;
-    } else if (e.t > t && e.t < best) {
-      best = e.t;
-    }
-  }
-  // Walk forward for the earliest non-member instant. Instants grow with
-  // the bucket index, so the first bucket holding a candidate ends the
-  // walk; the members' own next instants bound it otherwise.
-  for (std::int64_t a = at + 1;
-       a < lap_end_ && static_cast<double>(a) * width_ <= best; ++a) {
-    bool found = false;
-    for (const Event& e :
-         buckets_[static_cast<std::size_t>(a) & bucket_mask_]) {
-      if (stale(e) || e.t <= t) continue;
-      if (e.t < best) best = e.t;
-      found = true;
-    }
-    if (found) break;
-  }
-  // Overflow instants all lie beyond the lap; the cached minimum is exact
-  // because overflow entries are never stale.
-  if (!overflow_.empty() && overflow_min_ < best) best = overflow_min_;
-  return best;
-}
-
 void TickScheduler::complete_tick(std::size_t i) {
   Slot& s = slots_[i];
   ++s.tick_index;

@@ -4,8 +4,7 @@
 // MULTIPLICATION, never by accumulation — so two tenants sharing an
 // interval produce bitwise-equal tick instants no matter which shard (or
 // solo replay) computes them. The scheduler owns only the tick arithmetic:
-// who ticks when, which slots fold into one tick group, and how far a
-// shard may safely run ahead while a group's batched encode is in flight.
+// who ticks when and which slots fold into one tick group.
 // Execution state (simulators, controllers, encoders) lives in
 // RuntimeShard.
 //
@@ -70,16 +69,6 @@ class TickScheduler {
   /// it. `group` is overwritten, in slot order. Returns std::nullopt when
   /// every slot is retired. (Non-const: the calendar cursor advances.)
   std::optional<double> next_group(std::vector<std::size_t>& group);
-
-  /// The earliest tick instant strictly after a group at time `t`,
-  /// assuming that group's members tick next at their following grid
-  /// point. No slot can tick — and therefore no tenant's configuration can
-  /// change — before this instant, so it is the horizon a shard may
-  /// pre-advance the group's NON-members to while the group's batched
-  /// encode runs (the double-buffered tick overlap). +infinity when no
-  /// further tick exists. Must be called between next_group() returning
-  /// `t` and the group's complete_tick() calls.
-  double next_instant_after(double t) const;
 
   /// Slot i ticked at its current grid point: advance to the next one and
   /// retire the slot once that passes its trace end.

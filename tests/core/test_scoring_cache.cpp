@@ -1,14 +1,12 @@
-// Fused grid-scoring path (DESIGN.md §12): fp32 bit-identity with the
-// composed autograd head, multi-row == per-row determinism, and bounded
-// decision error for the fp16/int8 quantized paths.
+// Fused grid-scoring path (DESIGN.md §12): bit-identity with the composed
+// autograd head, multi-row == per-row determinism at any thread count, and
+// the lazy GridScorer cache across surrogate rebinds.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "core/decision_engine.hpp"
-#include "core/optimizer.hpp"
 #include "core/surrogate.hpp"
 
 #ifdef _OPENMP
@@ -68,8 +66,7 @@ TEST(ScoringCache, Fp32BitIdenticalToComposedHead) {
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   const auto configs = grid().enumerate();
-  const auto cache =
-      model.make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const auto cache = model.make_scoring_cache(configs);
   const std::int64_t o = model.config().output_dim;
 
   for (std::uint64_t seed : {7ULL, 19ULL, 23ULL}) {
@@ -88,42 +85,31 @@ TEST(ScoringCache, Fp32BitIdenticalToComposedHead) {
 }
 
 TEST(ScoringCache, MultiRowMatchesPerRowBitwise) {
-  // Batching R tenants into one call must be invisible bit-for-bit at every
-  // precision; at fp32 every row must also equal the composed autograd head
-  // (the carried-split head fc1 reproduces its FMA chains exactly).
+  // Batching R tenants into one call must be invisible bit-for-bit, and
+  // every row must equal the composed autograd head (the carried-split head
+  // fc1 reproduces its FMA chains exactly).
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   const auto configs = grid().enumerate();
   const std::int64_t o = model.config().output_dim;
   const std::size_t row_out = configs.size() * static_cast<std::size_t>(o);
 
-  for (const ScoringPrecision precision :
-       {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
-        ScoringPrecision::kInt8}) {
-    const auto cache = model.make_scoring_cache(configs, precision);
-    for (const std::size_t rows : {1U, 3U, 37U}) {
-      std::vector<float> e1_rows;
-      std::vector<std::vector<float>> references;
-      for (std::size_t r = 0; r < rows; ++r) {
-        const auto e1 = encode_row(model, random_window(32, 3 + 2 * r));
-        e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
-        if (precision == ScoringPrecision::kFp32) {
-          references.push_back(composed_raw(model, e1, configs));
-        } else {
-          std::vector<float> solo(row_out);
-          model.predict_grid_from_e1_batch(e1, 1, cache, solo);
-          references.push_back(std::move(solo));
-        }
-      }
-      std::vector<float> batched(rows * row_out);
-      model.predict_grid_from_e1_batch(e1_rows, rows, cache, batched);
-      for (std::size_t r = 0; r < rows; ++r) {
-        ASSERT_EQ(references[r].size(), row_out);
-        for (std::size_t i = 0; i < row_out; ++i) {
-          ASSERT_EQ(batched[r * row_out + i], references[r][i])
-              << to_string(precision) << " rows " << rows << " row " << r
-              << " element " << i;
-        }
+  const auto cache = model.make_scoring_cache(configs);
+  for (const std::size_t rows : {1U, 3U, 37U}) {
+    std::vector<float> e1_rows;
+    std::vector<std::vector<float>> references;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto e1 = encode_row(model, random_window(32, 3 + 2 * r));
+      e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());
+      references.push_back(composed_raw(model, e1, configs));
+    }
+    std::vector<float> batched(rows * row_out);
+    model.predict_grid_from_e1_batch(e1_rows, rows, cache, batched);
+    for (std::size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(references[r].size(), row_out);
+      for (std::size_t i = 0; i < row_out; ++i) {
+        ASSERT_EQ(batched[r * row_out + i], references[r][i])
+            << "rows " << rows << " row " << r << " element " << i;
       }
     }
   }
@@ -137,8 +123,7 @@ TEST(ScoringCache, Fp32BatchBitIdenticalAcrossThreadCounts) {
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   const auto configs = lambda::ConfigGrid::standard().enumerate();
-  const auto cache =
-      model.make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const auto cache = model.make_scoring_cache(configs);
   const std::size_t rows = 37;
   std::vector<float> e1_rows;
   for (std::size_t r = 0; r < rows; ++r) {
@@ -161,140 +146,36 @@ TEST(ScoringCache, Fp32BatchBitIdenticalAcrossThreadCounts) {
 }
 #endif  // _OPENMP
 
-TEST(ScoringCache, QuantizedDecisionsTrackFp32Argmin) {
-  Surrogate model(tiny_config(), grid());
-  model.set_training(false);
-  const auto configs = grid().enumerate();
-  const auto fp32 = model.make_scoring_cache(configs, ScoringPrecision::kFp32);
-
-  OptimizerOptions opt;
-  opt.slo_s = 0.1;
-  constexpr int kTicks = 100;
-  for (const ScoringPrecision precision :
-       {ScoringPrecision::kFp16, ScoringPrecision::kInt8}) {
-    const auto cache = model.make_scoring_cache(configs, precision);
-    int agree = 0;
-    double worst_rel_cost = 0.0;
-    std::vector<PredictionTarget> exact;
-    std::vector<PredictionTarget> quant;
-    for (int t = 0; t < kTicks; ++t) {
-      const auto e1 =
-          encode_row(model, random_window(32, 1000 + static_cast<unsigned>(t)));
-      model.predict_grid_from_e1_batch(e1, 1, fp32, exact);
-      model.predict_grid_from_e1_batch(e1, 1, cache, quant);
-      const OptimizedChoice a = select_config(exact, configs, opt);
-      const OptimizedChoice b = select_config(quant, configs, opt);
-      if (a.config.memory_mb == b.config.memory_mb &&
-          a.config.batch_size == b.config.batch_size &&
-          a.config.timeout_s == b.config.timeout_s) {
-        ++agree;
-      } else {
-        // A flip between near-tied configs is within the documented error
-        // bound: score it by the EXACT predicted cost of the config the
-        // quantized path picked vs the exact argmin's cost.
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-          if (configs[i].memory_mb == b.config.memory_mb &&
-              configs[i].batch_size == b.config.batch_size &&
-              configs[i].timeout_s == b.config.timeout_s) {
-            const double c_exact = a.prediction.cost_usd_per_request;
-            const double c_flip = exact[i].cost_usd_per_request;
-            const double gap = std::fabs(c_flip - c_exact) /
-                               std::max(std::fabs(c_exact), 1e-9);
-            if (gap < 1e-2) ++agree;  // near-tie, not a real decision error
-            break;
-          }
-        }
-      }
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        const double c0 = exact[i].cost_usd_per_request;
-        const double dc = std::fabs(quant[i].cost_usd_per_request - c0);
-        const double rel = dc / std::max(std::fabs(c0), 1e-9);
-        worst_rel_cost = std::max(worst_rel_cost, rel);
-      }
-    }
-    // Documented error bound (DESIGN.md §12): only the output GEMM is
-    // quantized, so decisions agree with the exact argmin — or flip to a
-    // config whose exact predicted cost is within 1% (a tie) — on >= 99%
-    // of ticks. (The tiny untrained model is the hard case — near-tied
-    // configs everywhere.)
-    EXPECT_GE(agree, kTicks * 99 / 100) << to_string(precision);
-    // And the per-entry cost error stays small in relative terms.
-    EXPECT_LT(worst_rel_cost, precision == ScoringPrecision::kFp16 ? 2e-2
-                                                                   : 1e-1)
-        << to_string(precision);
-  }
-}
-
-TEST(ScoringCache, CalibratedInt8MatchesDynamicBehavior) {
-  Surrogate model(tiny_config(), grid());
-  model.set_training(false);
-  const auto configs = grid().enumerate();
-  auto cache = model.make_scoring_cache(configs, ScoringPrecision::kInt8);
-  EXPECT_FALSE(cache.calibrated());
-
-  // Calibrate from a handful of windows.
-  constexpr std::size_t kSamples = 4;
-  std::vector<float> windows;
-  for (std::size_t s = 0; s < kSamples; ++s) {
-    const auto w = random_window(32, 500 + s);
-    windows.insert(windows.end(), w.begin(), w.end());
-  }
-  model.calibrate_scoring_cache(cache, windows, kSamples);
-  EXPECT_TRUE(cache.calibrated());
-  EXPECT_GT(cache.hidden_scale(), 0.0F);
-
-  // Calibrated scoring still lands near the exact fp32 values.
-  const auto fp32 = model.make_scoring_cache(configs, ScoringPrecision::kFp32);
-  std::vector<PredictionTarget> exact;
-  std::vector<PredictionTarget> calibrated;
-  const auto e1 = encode_row(model, random_window(32, 501));
-  model.predict_grid_from_e1_batch(e1, 1, fp32, exact);
-  model.predict_grid_from_e1_batch(e1, 1, cache, calibrated);
-  ASSERT_EQ(exact.size(), calibrated.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    const double c0 = exact[i].cost_usd_per_request;
-    EXPECT_NEAR(calibrated[i].cost_usd_per_request, c0,
-                std::max(std::fabs(c0), 1e-6) * 0.1);
-  }
-}
-
 TEST(ScoringCache, GridScorerScoreMatchesEngineUnpack) {
   // GridScorer::score (solo) and GridScorer::unpack (fed by a batch
-  // scorer's raw output) must agree exactly at every precision.
+  // scorer's raw output) must agree exactly.
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   const auto configs = grid().enumerate();
-  for (const ScoringPrecision precision :
-       {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
-        ScoringPrecision::kInt8}) {
-    GridScorer scorer(model, configs, precision);
-    SurrogateBatchScorer batch(model, configs, precision);
-    const auto e1 = encode_row(model, random_window(32, 77));
-    const auto solo = scorer.score(e1);
-    std::vector<PredictionTarget> solo_copy(solo.begin(), solo.end());
-    std::vector<float> raw(configs.size() * batch.target_dim());
-    batch.score(e1, 1, raw);
-    const auto unpacked = scorer.unpack(raw);
-    ASSERT_EQ(unpacked.size(), solo_copy.size());
-    for (std::size_t i = 0; i < solo_copy.size(); ++i) {
-      EXPECT_EQ(unpacked[i].cost_usd_per_request,
-                solo_copy[i].cost_usd_per_request)
-          << to_string(precision);
-      for (std::size_t p = 0; p < solo_copy[i].latency_s.size(); ++p) {
-        EXPECT_EQ(unpacked[i].latency_s[p], solo_copy[i].latency_s[p]);
-      }
+  GridScorer scorer(model, configs);
+  SurrogateBatchScorer batch(model, configs);
+  const auto e1 = encode_row(model, random_window(32, 77));
+  const auto solo = scorer.score(e1);
+  std::vector<PredictionTarget> solo_copy(solo.begin(), solo.end());
+  std::vector<float> raw(configs.size() * batch.target_dim());
+  batch.score(e1, 1, raw);
+  const auto unpacked = scorer.unpack(raw);
+  ASSERT_EQ(unpacked.size(), solo_copy.size());
+  for (std::size_t i = 0; i < solo_copy.size(); ++i) {
+    EXPECT_EQ(unpacked[i].cost_usd_per_request,
+              solo_copy[i].cost_usd_per_request);
+    for (std::size_t p = 0; p < solo_copy[i].latency_s.size(); ++p) {
+      EXPECT_EQ(unpacked[i].latency_s[p], solo_copy[i].latency_s[p]);
     }
   }
-  EXPECT_EQ(SurrogateBatchScorer(model, configs, ScoringPrecision::kFp32)
-                .encoding_dim(),
+  EXPECT_EQ(batch.encoding_dim(),
             static_cast<std::size_t>(model.config().model_dim));
 }
 
-TEST(ScoringCache, LazyGridScorerRebuildsAfterRebindAndCalibrate) {
+TEST(ScoringCache, LazyGridScorerRebuildsAfterRebind) {
   // GridScorer builds its scoring cache on first use and drops it on
   // rebind(): after a rebind it must score exactly like a scorer built on
-  // the new surrogate, and calibrate() on a scorer that never scored must
-  // equal calibrating an eagerly built cache.
+  // the new surrogate.
   Surrogate model(tiny_config(), grid());
   model.set_training(false);
   SurrogateConfig other_cfg = tiny_config();
@@ -303,11 +184,6 @@ TEST(ScoringCache, LazyGridScorerRebuildsAfterRebindAndCalibrate) {
   other.set_training(false);
   const auto configs = grid().enumerate();
   const auto e1 = encode_row(model, random_window(32, 91));
-  std::vector<float> windows;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    const auto w = random_window(32, 600 + s);
-    windows.insert(windows.end(), w.begin(), w.end());
-  }
   const auto expect_same = [](std::span<const PredictionTarget> got,
                               std::span<const PredictionTarget> want,
                               const char* what) {
@@ -321,67 +197,20 @@ TEST(ScoringCache, LazyGridScorerRebuildsAfterRebindAndCalibrate) {
       }
     }
   };
-  for (const ScoringPrecision precision :
-       {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
-        ScoringPrecision::kInt8}) {
-    SCOPED_TRACE(to_string(precision));
-    const auto on_model = [&] {
-      std::vector<PredictionTarget> t;
-      model.predict_grid_from_e1_batch(
-          e1, 1, model.make_scoring_cache(configs, precision), t);
-      return t;
-    }();
-    const auto on_other = [&] {
-      std::vector<PredictionTarget> t;
-      other.predict_grid_from_e1_batch(
-          e1, 1, other.make_scoring_cache(configs, precision), t);
-      return t;
-    }();
-    const auto calibrated = [&] {
-      auto cache = model.make_scoring_cache(configs, precision);
-      model.calibrate_scoring_cache(cache, windows, 4);
-      std::vector<PredictionTarget> t;
-      model.predict_grid_from_e1_batch(e1, 1, cache, t);
-      return t;
-    }();
+  const auto scored_on = [&](const Surrogate& m) {
+    std::vector<PredictionTarget> t;
+    m.predict_grid_from_e1_batch(e1, 1, m.make_scoring_cache(configs), t);
+    return t;
+  };
+  const auto on_model = scored_on(model);
+  const auto on_other = scored_on(other);
 
-    if (precision == ScoringPrecision::kInt8) {
-      // Calibration must be observable here, or the checks below could not
-      // tell a calibrated cache from a dynamic one.
-      bool differs = false;
-      for (std::size_t i = 0; i < on_model.size(); ++i) {
-        differs |= calibrated[i].cost_usd_per_request !=
-                   on_model[i].cost_usd_per_request;
-      }
-      ASSERT_TRUE(differs);
-    }
-
-    GridScorer scorer(model, configs, precision);
-    EXPECT_EQ(scorer.precision(), precision);
-    expect_same(scorer.score(e1), on_model, "first score");
-    scorer.rebind(other);
-    EXPECT_EQ(scorer.precision(), precision);
-    expect_same(scorer.score(e1), on_other, "after rebind");
-    scorer.rebind(model);
-    expect_same(scorer.score(e1), on_model, "after rebind back");
-
-    GridScorer fresh(model, configs, precision);
-    fresh.calibrate(windows, 4);
-    expect_same(fresh.score(e1), calibrated, "after calibrate");
-    fresh.rebind(model);  // drops the calibration with the cache
-    expect_same(fresh.score(e1), on_model, "calibrate then rebind");
-  }
-}
-
-TEST(ScoringCache, PrecisionNamesRoundTrip) {
-  for (const ScoringPrecision p :
-       {ScoringPrecision::kFp32, ScoringPrecision::kFp16,
-        ScoringPrecision::kInt8}) {
-    const auto parsed = parse_scoring_precision(to_string(p));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, p);
-  }
-  EXPECT_FALSE(parse_scoring_precision("bf16").has_value());
+  GridScorer scorer(model, configs);
+  expect_same(scorer.score(e1), on_model, "first score");
+  scorer.rebind(other);
+  expect_same(scorer.score(e1), on_other, "after rebind");
+  scorer.rebind(model);
+  expect_same(scorer.score(e1), on_model, "after rebind back");
 }
 
 }  // namespace

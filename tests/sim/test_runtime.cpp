@@ -1,9 +1,9 @@
 // The multi-tenant runtime's contract: replaying N tenants through the
 // sharded executor yields results bit-identical, per tenant, to N
 // independent run_platform() replays — for EVERY shard count, with or
-// without the shared batched encoder, and with or without double-buffered
-// (overlapped) encode — while each shard issues one batched
-// encode_sequence per control tick for its cache-missing tenants.
+// without the shared batched encoder, and with or without work stealing —
+// while each shard issues one batched encode_sequence per control tick for
+// its memo-missing tenants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -66,7 +66,6 @@ void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
 struct ShardCase {
   std::size_t shards;
   bool shared_encoder;
-  bool overlap;
   bool stealing = true;
 };
 
@@ -74,16 +73,15 @@ std::string shard_case_name(const ::testing::TestParamInfo<ShardCase>& info) {
   const ShardCase& c = info.param;
   return "Shards" + std::to_string(c.shards) +
          (c.shared_encoder ? "_Encoder" : "_NoEncoder") +
-         (c.overlap ? "_Overlap" : "_Sync") +
          (c.stealing ? "" : "_NoSteal");
 }
 
 class RuntimeShardInvariance : public ::testing::TestWithParam<ShardCase> {};
 
 // Five tenants on mixed control intervals (30/45/60 s), so tick groups
-// interleave and the double-buffer path actually pre-advances non-members,
-// replayed at the parameterized shard count. Every configuration must be
-// bit-identical, request by request, to five independent solo replays.
+// interleave and members tick while non-members wait, replayed at the
+// parameterized shard count. Every configuration must be bit-identical,
+// request by request, to five independent solo replays.
 TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   const ShardCase c = GetParam();
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
@@ -112,7 +110,6 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = c.shards;
-  ropts.overlap_encode = c.overlap;
   ropts.work_stealing = c.stealing;
   Runtime runtime(c.shared_encoder ? &encoder : nullptr, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
@@ -141,11 +138,22 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   for (const auto& run : merged) total_decisions += run.decisions.size();
   EXPECT_EQ(stats.control_ticks, total_decisions);
   if (c.shared_encoder) {
-    // Every window that missed the cache went through the one shared
+    // Every window that missed the memo went through the one shared
     // encoder instance, whatever shard encoded it.
     EXPECT_EQ(stats.batched_windows, encoder.windows_encoded());
     EXPECT_EQ(stats.encode_calls, encoder.calls());
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
+    // The runtime counts a probe from the tick request it sees; the
+    // controllers count the same probe inside their engines. The two
+    // ledgers must agree at every shard count.
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    for (const auto& ctl : controllers) {
+      hits += ctl->cache_hits();
+      misses += ctl->cache_misses();
+    }
+    EXPECT_EQ(stats.cache_hits, hits);
+    EXPECT_EQ(stats.cache_misses, misses);
   } else {
     EXPECT_EQ(stats.batched_windows, 0u);
     EXPECT_EQ(stats.encode_calls, 0u);
@@ -154,16 +162,15 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, RuntimeShardInvariance,
-    ::testing::Values(ShardCase{1, true, true}, ShardCase{1, true, false},
-                      ShardCase{2, true, true}, ShardCase{2, true, false},
-                      ShardCase{2, false, true}, ShardCase{5, true, true},
-                      ShardCase{5, true, false}, ShardCase{5, false, true},
+    ::testing::Values(ShardCase{1, true}, ShardCase{1, false},
+                      ShardCase{2, true}, ShardCase{2, false},
+                      ShardCase{5, true}, ShardCase{5, false},
                       // Work-stealing OFF (static tenant->shard schedule):
                       // the claim coordinator must be a pure execution-
-                      // layout detail — same bits either way.
-                      ShardCase{2, true, true, false},
-                      ShardCase{5, true, true, false},
-                      ShardCase{5, false, true, false}),
+                      // layout detail — same bits either way. (At one
+                      // shard there is nothing to steal.)
+                      ShardCase{2, true, false}, ShardCase{2, false, false},
+                      ShardCase{5, true, false}, ShardCase{5, false, false}),
     shard_case_name);
 
 // Shard invariance must survive the fault layer: the fault stream id lives
@@ -209,7 +216,6 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = shards;
-  ropts.overlap_encode = true;
   ropts.work_stealing = GetParam().stealing;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
@@ -244,10 +250,9 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.stealing ? "" : "_NoSteal");
     });
 
-// TSan target (scripts/check.sh): 8 tenants over 4 shards with overlapped
-// encodes, once with per-shard encoder instances (factory) and once with a
-// single instance shared by all four shards — both legal per the
-// BatchEncoder concurrency contract, both bit-identical to solo replays.
+// TSan target (scripts/check.sh): 8 tenants over 4 shards encoding through
+// one instance shared by all four shards — legal per the BatchEncoder
+// concurrency contract, and bit-identical to solo replays.
 TEST(RuntimeTest, ConcurrentShardsStressMatchesSolo) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
@@ -267,37 +272,28 @@ TEST(RuntimeTest, ConcurrentShardsStressMatchesSolo) {
     solo.push_back(run_platform(trace, ctl, lm, {1024, 1, 0.0}, popts));
   }
 
-  for (const bool per_shard_encoders : {true, false}) {
-    SCOPED_TRACE(per_shard_encoders ? "factory encoders" : "shared encoder");
-    core::SurrogateBatchEncoder encoder(model);
-    RuntimeOptions ropts;
-    ropts.shards = 4;
-    ropts.overlap_encode = true;
-    Runtime runtime(&encoder, ropts);
-    if (per_shard_encoders) {
-      runtime.set_encoder_factory([&model] {
-        return std::make_unique<core::SurrogateBatchEncoder>(model);
-      });
-    }
-    std::vector<std::unique_ptr<core::DeepBatController>> controllers;
-    for (const auto& trace : traces) {
-      controllers.push_back(std::make_unique<core::DeepBatController>(
-          model, controller_options()));
-      TenantSpec spec;
-      spec.name = "tenant";
-      spec.trace = &trace;
-      spec.controller = controllers.back().get();
-      spec.model = &lm;
-      spec.initial_config = {1024, 1, 0.0};
-      spec.options = popts;
-      runtime.add_tenant(std::move(spec));
-    }
-    const auto merged = runtime.run();
-    ASSERT_EQ(merged.size(), traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      SCOPED_TRACE("tenant " + std::to_string(i));
-      expect_bit_identical(solo[i], merged[i]);
-    }
+  core::SurrogateBatchEncoder encoder(model);
+  RuntimeOptions ropts;
+  ropts.shards = 4;
+  Runtime runtime(&encoder, ropts);
+  std::vector<std::unique_ptr<core::DeepBatController>> controllers;
+  for (const auto& trace : traces) {
+    controllers.push_back(std::make_unique<core::DeepBatController>(
+        model, controller_options()));
+    TenantSpec spec;
+    spec.name = "tenant";
+    spec.trace = &trace;
+    spec.controller = controllers.back().get();
+    spec.model = &lm;
+    spec.initial_config = {1024, 1, 0.0};
+    spec.options = popts;
+    runtime.add_tenant(std::move(spec));
+  }
+  const auto merged = runtime.run();
+  ASSERT_EQ(merged.size(), traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    SCOPED_TRACE("tenant " + std::to_string(i));
+    expect_bit_identical(solo[i], merged[i]);
   }
 }
 
@@ -335,7 +331,6 @@ TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = 6;
-  ropts.overlap_encode = true;
   ropts.work_stealing = true;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
@@ -619,19 +614,16 @@ TEST(RuntimeTest, EmptyTraceYieldsEmptyRun) {
 // ------------------------------------- cross-tenant batched scoring ------
 
 /// Five mixed-interval tenants replayed with the fused cross-tenant grid
-/// scorer attached, at the given precision and shard count, compared
-/// tenant-by-tenant against independent solo replays at the SAME precision.
-/// The fused pass must be invisible bit-for-bit: scoring is row-local at
-/// every precision, so batching tenants of a tick group into one pass (or
-/// changing the shard layout) never changes a decision, a request, or a
-/// cost cent.
-void expect_batched_scoring_invariant(core::ScoringPrecision precision,
-                                      std::size_t shards) {
+/// scorer attached at the given shard count, compared tenant-by-tenant
+/// against independent solo replays. The fused pass must be invisible
+/// bit-for-bit: scoring is row-local, so batching tenants of a tick group
+/// into one pass (or changing the shard layout) never changes a decision,
+/// a request, or a cost cent.
+void expect_batched_scoring_invariant(std::size_t shards) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
-  auto opts = controller_options();
-  opts.scoring_precision = precision;
+  const auto opts = controller_options();
 
   struct TenantDef {
     workload::Trace trace;
@@ -653,8 +645,8 @@ void expect_batched_scoring_invariant(core::ScoringPrecision precision,
   }
 
   core::SurrogateBatchEncoder encoder(model);
-  core::SurrogateBatchScorer scorer(
-      model, lambda::ConfigGrid::small().enumerate(), precision);
+  core::SurrogateBatchScorer scorer(model,
+                                    lambda::ConfigGrid::small().enumerate());
   RuntimeOptions ropts;
   ropts.shards = shards;
   Runtime runtime(&encoder, ropts);
@@ -691,13 +683,9 @@ void expect_batched_scoring_invariant(core::ScoringPrecision precision,
 }
 
 TEST(RuntimeBatchedScoring, FusedFp32BitIdenticalToSoloRuns) {
-  expect_batched_scoring_invariant(core::ScoringPrecision::kFp32, 1);
-  expect_batched_scoring_invariant(core::ScoringPrecision::kFp32, 2);
-}
-
-TEST(RuntimeBatchedScoring, QuantizedScoringStaysShardInvariant) {
-  expect_batched_scoring_invariant(core::ScoringPrecision::kFp16, 2);
-  expect_batched_scoring_invariant(core::ScoringPrecision::kInt8, 3);
+  expect_batched_scoring_invariant(1);
+  expect_batched_scoring_invariant(2);
+  expect_batched_scoring_invariant(3);
 }
 
 TEST(RuntimeTest, AddTenantValidates) {

@@ -133,10 +133,21 @@ class RuntimeCheckpoint : public ::testing::TestWithParam<RestoreCase> {};
 TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
   const RestoreCase c = GetParam();
   Harness h;
+  // An idle tenant: its window stops changing after the last early arrival,
+  // so every tick from 60 s on is a memo hit — including the first tick
+  // after the restore, which only the checkpointed memo can serve.
+  h.traces.push_back(workload::Trace({1.0, 2.0, 3.0, 170.0}));
+  h.intervals.push_back(30.0);
 
   Runtime& ref = h.build(1);
   const std::vector<PlatformRun> reference = ref.run();
   const RuntimeStats ref_stats = ref.stats();
+  std::vector<std::size_t> ref_hits;
+  std::vector<std::size_t> ref_misses;
+  for (const auto& ctl : h.controllers) {
+    ref_hits.push_back(ctl->cache_hits());
+    ref_misses.push_back(ctl->cache_misses());
+  }
   std::size_t total_retries = 0;
   for (const auto& run : reference) total_retries += run.result.retries;
   EXPECT_GT(total_retries, 0u);  // the chaos faults actually bit
@@ -167,6 +178,14 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
   EXPECT_EQ(st.cache_misses, ref_stats.cache_misses);
   EXPECT_EQ(st.bypassed_ticks, ref_stats.bypassed_ticks);
   EXPECT_EQ(st.batched_windows, ref_stats.batched_windows);
+  // Each engine's window memo rides the checkpoint, so every tenant resumes
+  // the reference's exact hit/miss sequence: a memo lost at restore would
+  // turn the first resumed tick of an idle tenant into a miss.
+  for (std::size_t i = 0; i < h.controllers.size(); ++i) {
+    SCOPED_TRACE("tenant " + std::to_string(i));
+    EXPECT_EQ(h.controllers[i]->cache_hits(), ref_hits[i]);
+    EXPECT_EQ(h.controllers[i]->cache_misses(), ref_misses[i]);
+  }
   std::remove(path.c_str());
 }
 

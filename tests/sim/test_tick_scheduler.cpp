@@ -1,8 +1,8 @@
 // Calendar-queue TickScheduler vs a linear-scan reference model. The
 // observable contract (DESIGN.md §15): groups form on the earliest pending
 // instant, members arrive in ascending slot order, bitwise-equal instants
-// share one group, next_instant_after() is the pre-advance horizon, and a
-// slot retires once its next grid point passes its trace end. The calendar
+// share one group, and a slot retires once its next grid point passes its
+// trace end. The calendar
 // internals (bucket laps, overflow day-file, lazy stale deletion, shrink /
 // grow rebuilds) must be invisible — every test here drives the real
 // scheduler and the reference in lockstep and demands identical output.
@@ -58,20 +58,6 @@ class ReferenceScheduler {
     return tmin;
   }
 
-  double next_instant_after(double t) const {
-    double best = kInf;
-    for (const Slot& s : slots_) {
-      if (s.done) continue;
-      double candidate = static_cast<double>(s.k) * s.interval;
-      if (candidate == t) {
-        candidate = static_cast<double>(s.k + 1) * s.interval;
-        if (candidate > s.end) continue;  // member retires after this tick
-      }
-      if (candidate > t && candidate < best) best = candidate;
-    }
-    return best;
-  }
-
   void complete_tick(std::size_t i) {
     Slot& s = slots_[i];
     ++s.k;
@@ -92,9 +78,8 @@ class ReferenceScheduler {
   std::size_t live_ = 0;
 };
 
-/// Drain both schedulers to exhaustion, asserting identical group times,
-/// identical membership, and identical pre-advance horizons at every step.
-/// Returns the number of groups formed.
+/// Drain both schedulers to exhaustion, asserting identical group times and
+/// identical membership at every step. Returns the number of groups formed.
 std::size_t drain_in_lockstep(TickScheduler& sched, ReferenceScheduler& ref,
                               std::size_t max_groups = 1u << 22) {
   std::vector<std::size_t> group;
@@ -110,8 +95,6 @@ std::size_t drain_in_lockstep(TickScheduler& sched, ReferenceScheduler& ref,
     EXPECT_EQ(*t, *rt) << "group " << groups;
     EXPECT_EQ(group, ref_group) << "group " << groups << " at t=" << *t;
     if (group != ref_group) return groups;  // diverged: stop the flood
-    EXPECT_EQ(sched.next_instant_after(*t), ref.next_instant_after(*t))
-        << "group " << groups << " at t=" << *t;
     for (const std::size_t i : group) {
       EXPECT_EQ(sched.tick_time(i), *t);
       sched.complete_tick(i);
@@ -125,8 +108,7 @@ std::size_t drain_in_lockstep(TickScheduler& sched, ReferenceScheduler& ref,
 
 // Intervals in 30/45/60-style ratios share grid points (90 = 3*30 = 2*45,
 // 180 = all three): coinciding ticks must fold into ONE group with members
-// in ascending slot order, and the horizon after a shared tick must be the
-// earliest next instant over members and non-members alike.
+// in ascending slot order.
 TEST(TickScheduler, MixedIntervalsSharingGridPointsFoldIntoOneGroup) {
   TickScheduler sched;
   ReferenceScheduler ref;
@@ -142,8 +124,6 @@ TEST(TickScheduler, MixedIntervalsSharingGridPointsFoldIntoOneGroup) {
   ASSERT_TRUE(t0.has_value());
   EXPECT_EQ(*t0, 0.0);
   EXPECT_EQ(group, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  // Horizon: the earliest following tick is slot 0/3's 30 s.
-  EXPECT_EQ(sched.next_instant_after(*t0), 30.0);
   for (const std::size_t i : group) {
     sched.complete_tick(i);
     ref.complete_tick(i);
@@ -193,15 +173,13 @@ TEST(TickScheduler, AllNeverTicksYieldsNoGroup) {
   EXPECT_EQ(sched.live(), 0u);
   std::vector<std::size_t> group;
   EXPECT_FALSE(sched.next_group(group).has_value());
-  EXPECT_EQ(sched.next_instant_after(0.0), kInf);
 }
 
-// next_instant_after once most slots are retired: a big short-lived
-// population retires early (forcing the shrink rebuild), leaving a handful
-// of long-horizon stragglers whose instants sit many empty bucket laps
-// ahead. The horizon and group sequence must stay exact through the
-// sparse phase.
-TEST(TickScheduler, NextInstantAfterSurvivesMassRetirement) {
+// Mass retirement: a big short-lived population retires early (forcing the
+// shrink rebuild), leaving a handful of long-horizon stragglers whose
+// instants sit many empty bucket laps ahead. The group sequence must stay
+// exact through the sparse phase.
+TEST(TickScheduler, GroupsSurviveMassRetirement) {
   TickScheduler sched;
   ReferenceScheduler ref;
   // 2000 slots ticking every ~1 s but ending at 5 s: they retire fast.
@@ -217,8 +195,9 @@ TEST(TickScheduler, NextInstantAfterSurvivesMassRetirement) {
   }
   drain_in_lockstep(sched, ref);
   EXPECT_EQ(sched.live(), 0u);
-  // Fully drained: no instant remains anywhere.
-  EXPECT_EQ(sched.next_instant_after(0.0), kInf);
+  // Fully drained: no group remains.
+  std::vector<std::size_t> group;
+  EXPECT_FALSE(sched.next_group(group).has_value());
 }
 
 // Calendar bucket rollover: intervals spanning four orders of magnitude
@@ -342,18 +321,9 @@ TEST(TickSchedulerScale, HundredThousandSlotsDrainExactly) {
   std::vector<std::size_t> group;
   double prev_t = -kInf;
   std::size_t groups = 0;
-  std::size_t horizon_probes = 0;
   while (const auto t = sched.next_group(group)) {
     ASSERT_GT(*t, prev_t) << "group times must strictly increase";
     ASSERT_FALSE(group.empty());
-    // Periodically exercise the pre-advance horizon at scale: it must lie
-    // strictly beyond the group and at (or before) the next group's time.
-    double horizon = -kInf;
-    if (groups % 64 == 0) {
-      horizon = sched.next_instant_after(*t);
-      ASSERT_GT(horizon, *t);
-      ++horizon_probes;
-    }
     for (std::size_t j = 0; j < group.size(); ++j) {
       if (j > 0) {
         ASSERT_LT(group[j - 1], group[j]) << "members ascend";
@@ -362,15 +332,6 @@ TEST(TickSchedulerScale, HundredThousandSlotsDrainExactly) {
       ++seen_ticks[group[j]];
       sched.complete_tick(group[j]);
     }
-    if (horizon > -kInf && std::isfinite(horizon)) {
-      std::vector<std::size_t> peek;
-      // The next group may not come before the promised horizon.
-      // (Peeking is safe: next_group is idempotent until complete_tick.)
-      const auto tn = sched.next_group(peek);
-      if (tn.has_value()) {
-        ASSERT_GE(*tn, horizon);
-      }
-    }
     prev_t = *t;
     ++groups;
   }
@@ -378,7 +339,6 @@ TEST(TickSchedulerScale, HundredThousandSlotsDrainExactly) {
   // 1000 interval classes x 10 start phases share instants heavily: the
   // drain folds ~450k ticks into a few thousand groups.
   EXPECT_GT(groups, 1000u);
-  EXPECT_GT(horizon_probes, 15u);
   EXPECT_EQ(seen_ticks, expected_ticks);
 }
 
