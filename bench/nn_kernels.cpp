@@ -1,16 +1,18 @@
 // Kernel regression harness for the neural-network hot path.
 //
-// Times the GEMM kernel, multi-head attention, and the deployment-critical
+// Times the GEMM kernel, multi-head attention, the deployment-critical
 // surrogate forward (predict_grid: encode one l=256 window, score the full
-// config grid — the "0.73 s vs 40.83 s" fast side of §IV-F) in two modes:
+// config grid — the "0.73 s vs 40.83 s" fast side of §IV-F) and one Adam
+// step of the bench-shaped surrogate in two modes:
 //
 //   seed       naive triple-loop GEMM + composed attention + heap tensors
 //              (kernels::set_reference_mode(true), arena disabled)
 //   optimized  blocked GEMM + fused attention + arena allocator
 //
 // and across thread counts, then emits machine-readable BENCH_kernels.json
-// so successive PRs can track the perf trajectory. Run with --quick for a
-// fast smoke pass, --json=PATH to redirect the report.
+// so successive PRs can track the perf trajectory. The gated speedups are
+// timed as alternating seed/optimized sample pairs (paired_speedup). Run
+// with --quick for a fast smoke pass, --json=PATH to redirect the report.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,10 +27,12 @@
 #include "common/fileio.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/encoding.hpp"
 #include "core/surrogate.hpp"
 #include "nn/arena.hpp"
 #include "nn/attention.hpp"
 #include "nn/kernels.hpp"
+#include "nn/optim.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -45,29 +49,56 @@ double now_s() {
       .count();
 }
 
-/// Best-of-samples timing: calibrates an iteration count so one sample runs
-/// >= min_sample_s, then reports the fastest per-iteration time in ns.
-double time_ns(const std::function<void()>& fn, double min_sample_s,
-               int samples) {
-  fn();  // warm-up (and arena/scratch growth)
+/// Seconds per iteration over one sample of `iters` iterations.
+double sample_s(const std::function<void()>& fn, std::int64_t iters) {
+  const double t0 = now_s();
+  for (std::int64_t i = 0; i < iters; ++i) fn();
+  return (now_s() - t0) / static_cast<double>(iters);
+}
+
+/// Warms `fn` up (arena/scratch growth included) and calibrates an
+/// iteration count so one sample runs >= min_sample_s.
+std::int64_t calibrate(const std::function<void()>& fn, double min_sample_s) {
+  fn();
   std::int64_t iters = 1;
   for (;;) {
-    const double t0 = now_s();
-    for (std::int64_t i = 0; i < iters; ++i) fn();
-    const double dt = now_s() - t0;
-    if (dt >= min_sample_s || iters > (1LL << 30)) break;
+    const double dt = sample_s(fn, iters) * static_cast<double>(iters);
+    if (dt >= min_sample_s || iters > (1LL << 30)) return iters;
     const double target = std::max(min_sample_s * 1.2, 1e-4);
     iters = std::max<std::int64_t>(
         iters * 2, static_cast<std::int64_t>(target / std::max(dt / iters, 1e-9)));
   }
+}
+
+/// Best-of-samples timing: the fastest per-iteration time in ns.
+double time_ns(const std::function<void()>& fn, double min_sample_s,
+               int samples) {
+  const std::int64_t iters = calibrate(fn, min_sample_s);
   double best = 1e300;
-  for (int s = 0; s < samples; ++s) {
-    const double t0 = now_s();
-    for (std::int64_t i = 0; i < iters; ++i) fn();
-    const double dt = now_s() - t0;
-    best = std::min(best, dt / static_cast<double>(iters));
-  }
+  for (int s = 0; s < samples; ++s) best = std::min(best, sample_s(fn, iters));
   return best * 1e9;
+}
+
+/// Same-run speedup of `optimized` over `seed` for the gate: the two run in
+/// alternating samples (seed, optimized, seed, ...) and the result is the
+/// median of the per-pair time ratios. A stretch of host contention slows
+/// both halves of a pair alike, where best-of-samples timing of each side
+/// in its own stretch let the ratio of one unchanged kernel span 15.3-17.5x
+/// over seven runs.
+double paired_speedup(const std::function<void()>& seed,
+                      const std::function<void()>& optimized,
+                      double min_sample_s, int pairs) {
+  const std::int64_t seed_iters = calibrate(seed, min_sample_s);
+  const std::int64_t opt_iters = calibrate(optimized, min_sample_s);
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    const double seed_s = sample_s(seed, seed_iters);
+    ratios.push_back(seed_s / sample_s(optimized, opt_iters));
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  return ratios.size() % 2 ? ratios[mid]
+                           : 0.5 * (ratios[mid - 1] + ratios[mid]);
 }
 
 struct Result {
@@ -82,17 +113,16 @@ struct Result {
 
 std::vector<Result> g_results;
 
-/// ns_per_iter of a recorded result, or -1 if that cell was not run.
-double find_ns(const std::string& section, const std::string& name,
-               const std::string& mode, int threads) {
-  for (const auto& r : g_results) {
-    if (r.section == section && r.name == name && r.mode == mode &&
-        r.threads == threads) {
-      return r.ns_per_iter;
-    }
-  }
-  return -1.0;
-}
+/// The gated same-run speedups (paired_speedup at 1 thread), in the order
+/// the summary lists them.
+std::vector<std::pair<std::string, double>> g_speedups;
+
+/// The gated two-thread gains (1-thread over 2-thread time, paired): a
+/// kernel must not lose more than 10% on two threads.
+std::vector<std::pair<std::string, double>> g_two_thread_gains;
+
+/// Pairs per gated ratio.
+int g_pairs = 9;
 
 void set_threads(int t) {
 #ifdef _OPENMP
@@ -100,6 +130,20 @@ void set_threads(int t) {
 #else
   (void)t;
 #endif
+}
+
+/// paired_speedup of `fn` on two OpenMP threads over one.
+double two_thread_gain(const std::function<void()>& fn, double min_sample_s) {
+  return paired_speedup(
+      [&] {
+        set_threads(1);
+        fn();
+      },
+      [&] {
+        set_threads(2);
+        fn();
+      },
+      min_sample_s, g_pairs);
 }
 
 void record(Result r) {
@@ -120,6 +164,7 @@ struct GemmShape {
   std::int64_t m, k, n;
   bool trans_a, trans_b;
   const char* why;
+  bool gated = false;  // its seed/optimized speedup is gated
 };
 
 void bench_gemm(const std::vector<int>& thread_counts, double min_sample_s,
@@ -129,10 +174,10 @@ void bench_gemm(const std::vector<int>& thread_counts, double min_sample_s,
       {256, 16, 16, false, false, "qkv projection, L=256"},
       {2048, 16, 16, false, false, "collapsed batch*L projection"},
       {256, 4, 256, false, true, "attention scores per head"},
-      {256, 256, 4, false, false, "attention context per head"},
+      {256, 256, 4, false, false, "attention context per head", true},
       {616, 16, 32, false, false, "grid head, ffn_hidden"},
       {616, 48, 64, false, false, "wider head (future-proofing)"},
-      {16, 2048, 16, true, false, "weight gradient (training)"},
+      {16, 2048, 16, true, false, "weight gradient (training)", true},
   };
   std::printf("[gemm]\n");
   for (const auto& s : shapes) {
@@ -145,27 +190,31 @@ void bench_gemm(const std::vector<int>& thread_counts, double min_sample_s,
     name << "m" << s.m << "_k" << s.k << "_n" << s.n
          << (s.trans_a ? "_tA" : "") << (s.trans_b ? "_tB" : "");
     const double flops = 2.0 * static_cast<double>(s.m) * s.k * s.n;
-    for (const char* mode : {"seed", "optimized"}) {
-      kernels::set_reference_mode(std::strcmp(mode, "seed") == 0);
-      for (int t : thread_counts) {
-        set_threads(t);
-        const double ns = time_ns(
-            [&] {
-              if (kernels::reference_mode()) {
-                kernels::gemm_naive(a.data(), b.data(), c.data(), s.m, s.k,
-                                    s.n, s.trans_a, s.trans_b, false);
-              } else {
-                kernels::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n,
-                              s.trans_a, s.trans_b, false);
-              }
-            },
-            min_sample_s, samples);
-        record({"gemm", name.str(), mode, t, ns, flops / ns});
-        if (kernels::reference_mode()) break;  // naive kernel is serial
-      }
+    const auto naive = [&] {
+      kernels::gemm_naive(a.data(), b.data(), c.data(), s.m, s.k, s.n,
+                          s.trans_a, s.trans_b, false);
+    };
+    const auto blocked = [&] {
+      kernels::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n, s.trans_a,
+                    s.trans_b, false);
+    };
+    set_threads(1);
+    const double seed_ns = time_ns(naive, min_sample_s, samples);
+    record({"gemm", name.str(), "seed", 1, seed_ns, flops / seed_ns});
+    for (int t : thread_counts) {
+      set_threads(t);
+      const double ns = time_ns(blocked, min_sample_s, samples);
+      record({"gemm", name.str(), "optimized", t, ns, flops / ns});
+    }
+    if (s.gated) {
+      set_threads(1);
+      g_speedups.emplace_back(
+          "gemm_speedup_" + name.str() + "_1t",
+          paired_speedup(naive, blocked, min_sample_s, g_pairs));
+      g_two_thread_gains.emplace_back(name.str(),
+                                      two_thread_gain(blocked, min_sample_s));
     }
   }
-  kernels::set_reference_mode(false);
 }
 
 void bench_attention(const std::vector<int>& thread_counts,
@@ -264,30 +313,42 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
   const std::vector<float> e1(e1t.data(), e1t.data() + d);
 
   // legacy: per-tick broadcast + feature re-encode + composed head.
+  const auto legacy = [&] {
+    Tensor e1b({grid_n, d});
+    for (std::int64_t r = 0; r < grid_n; ++r) {
+      std::copy(e1.begin(), e1.end(), e1b.data() + r * d);
+    }
+    Tensor feats({grid_n, f});
+    for (std::int64_t r = 0; r < grid_n; ++r) {
+      const auto enc =
+          core::encode_features(configs[static_cast<std::size_t>(r)]);
+      std::copy(enc.begin(), enc.end(), feats.data() + r * f);
+    }
+    volatile float sink = model.predict_with_features(e1b, feats).data()[0];
+    (void)sink;
+  };
+  set_threads(1);
   {
-    const double ns = time_ns(
-        [&] {
-          Tensor e1b({grid_n, d});
-          for (std::int64_t r = 0; r < grid_n; ++r) {
-            std::copy(e1.begin(), e1.end(), e1b.data() + r * d);
-          }
-          Tensor feats({grid_n, f});
-          for (std::int64_t r = 0; r < grid_n; ++r) {
-            const auto enc =
-                core::encode_features(configs[static_cast<std::size_t>(r)]);
-            std::copy(enc.begin(), enc.end(), feats.data() + r * f);
-          }
-          volatile float sink =
-              model.predict_with_features(e1b, feats).data()[0];
-          (void)sink;
-        },
-        min_sample_s, samples);
+    const double ns = time_ns(legacy, min_sample_s, samples);
     record({"grid_scoring", "legacy_r1", "seed", 1, ns, -1.0,
             1e9 * static_cast<double>(grid_n) / ns});
   }
 
   // fused: the GridScoringCache pass, r1 and r8.
   const auto cache = model.make_scoring_cache(configs);
+  {
+    std::vector<float> out(static_cast<std::size_t>(grid_n * o));
+    const auto fused = [&] {
+      model.predict_grid_from_e1_batch(e1, 1, cache, out);
+      volatile float sink = out[0];
+      (void)sink;
+    };
+    g_speedups.emplace_back(
+        "grid_scoring_fused_fp32_speedup_1t",
+        paired_speedup(legacy, fused, min_sample_s, g_pairs));
+    g_two_thread_gains.emplace_back("grid_scoring fused_fp32_r1",
+                                    two_thread_gain(fused, min_sample_s));
+  }
   for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
     std::vector<float> e1_rows;
     for (std::size_t r = 0; r < rows; ++r) {
@@ -311,6 +372,69 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
   }
 }
 
+/// Sets the kernel mode of `mode`: "seed" routes GEMMs to the naive kernel
+/// and attention to the composed graph, with the arena off.
+void set_mode(const char* mode) {
+  const bool seed = std::strcmp(mode, "seed") == 0;
+  kernels::set_reference_mode(seed);
+  arena::set_enabled(!seed);
+}
+
+void bench_training(double min_sample_s, int samples) {
+  // One Adam step (forward, loss, backward, clip, update) of the surrogate
+  // bench/e2e pretrains and fine-tunes: L = 128, attention dropout 0.1,
+  // batch 8, one arena scope per step as core::train opens it.
+  std::printf("[training] L=128, batch 8, dropout 0.1\n");
+  core::SurrogateConfig scfg;
+  scfg.sequence_length = 128;
+  core::Surrogate model(scfg, lambda::ConfigGrid::standard());
+  model.set_training(true);
+  const std::int64_t batch = 8;
+  const auto configs = lambda::ConfigGrid::standard().enumerate();
+  Rng rng(17);
+  Tensor seq({batch, scfg.sequence_length, 1});
+  for (float& x : seq.flat()) x = static_cast<float>(rng.exponential(20.0));
+  Tensor feats({batch, scfg.feature_dim});
+  Tensor targets({batch, scfg.output_dim});
+  for (std::int64_t r = 0; r < batch; ++r) {
+    const auto enc = core::encode_features(
+        configs[static_cast<std::size_t>(r * 37) % configs.size()]);
+    std::copy(enc.begin(), enc.end(), feats.data() + r * scfg.feature_dim);
+  }
+  for (float& x : targets.flat()) {
+    x = static_cast<float>(rng.uniform(0.01, 0.2));
+  }
+  Adam adam(model.parameters(), 1e-3F);
+  const auto step = [&] {
+    arena::Scope scope;
+    adam.zero_grad();
+    const Var pred =
+        model.forward(make_leaf(seq, false), make_leaf(feats, false));
+    backward(combined_loss(pred, make_leaf(targets, false), 0.05F, 1.0F));
+    adam.clip_grad_norm(5.0);
+    adam.step();
+  };
+  set_threads(1);
+  for (const char* mode : {"seed", "optimized"}) {
+    set_mode(mode);
+    record({"training", "adam_step_b8_l128", mode, 1,
+            time_ns(step, min_sample_s, samples), -1.0});
+  }
+  g_speedups.emplace_back(
+      "training_step_speedup_1t",
+      paired_speedup(
+          [&] {
+            set_mode("seed");
+            step();
+          },
+          [&] {
+            set_mode("optimized");
+            step();
+          },
+          min_sample_s, g_pairs));
+  set_mode("optimized");
+}
+
 void write_json(const std::string& path, double speedup, double seed_1t,
                 double opt_1t) {
   std::ostringstream out;
@@ -328,22 +452,11 @@ void write_json(const std::string& path, double speedup, double seed_1t,
   }
   out << "  ],\n";
   out << "  \"summary\": {\n";
-  // Host-portable ratios (same-run seed vs optimized), which is what the
-  // --gate compares against the committed baseline: absolute ns from a
-  // different machine would be meaningless.
-  for (const char* shape : {"m256_k256_n4", "m16_k2048_n16_tA"}) {
-    const double seed_ns = find_ns("gemm", shape, "seed", 1);
-    const double opt_ns = find_ns("gemm", shape, "optimized", 1);
-    out << "    \"gemm_speedup_" << shape << "_1t\": "
-        << (seed_ns > 0 && opt_ns > 0 ? seed_ns / opt_ns : 0.0) << ",\n";
-  }
-  {
-    const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    const double fused_ns =
-        find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
-    out << "    \"grid_scoring_fused_fp32_speedup_1t\": "
-        << (legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0)
-        << ",\n";
+  // Host-portable ratios (same-run seed vs optimized, paired), which is
+  // what the --gate compares against the committed baseline: absolute ns
+  // from a different machine would be meaningless.
+  for (const auto& [key, ratio] : g_speedups) {
+    out << "    \"" << key << "\": " << ratio << ",\n";
   }
   out << "    \"surrogate_forward_seed_ns_1t\": " << seed_1t << ",\n";
   out << "    \"surrogate_forward_optimized_ns_1t\": " << opt_1t << ",\n";
@@ -360,35 +473,28 @@ double json_scalar(const std::string& text, const std::string& key) {
   return std::strtod(text.c_str() + pos + key.size() + 3, nullptr);
 }
 
-/// CI smoke gate: named tall-skinny shapes must beat the seed kernel and
-/// never lose at 2 threads, and the same-run speedup ratios must stay
-/// within 10% of the committed baseline's. Returns the number of failures.
+/// CI smoke gate, on paired ratios only: named tall-skinny shapes must beat
+/// the seed kernel and never lose at 2 threads, and the median paired
+/// speedups must stay within 10% of the committed baseline's. Returns the
+/// number of failures.
 int run_gate(const std::string& baseline_path) {
   int failures = 0;
   const auto fail = [&](const std::string& what) {
     std::fprintf(stderr, "[gate] FAIL: %s\n", what.c_str());
     ++failures;
   };
-  for (const char* shape : {"m256_k256_n4", "m16_k2048_n16_tA"}) {
-    const double seed_ns = find_ns("gemm", shape, "seed", 1);
-    const double opt1 = find_ns("gemm", shape, "optimized", 1);
-    const double opt2 = find_ns("gemm", shape, "optimized", 2);
-    if (seed_ns > 0 && opt1 > 0 && opt1 >= seed_ns) {
-      fail(std::string(shape) + ": optimized 1t (" + std::to_string(opt1) +
-           " ns) does not beat seed (" + std::to_string(seed_ns) + " ns)");
-    }
-    // 10% timing-noise allowance; the real 2t < 1t regressions this caught
-    // were 2x-3x, not marginal.
-    if (opt1 > 0 && opt2 > 0 && opt2 > opt1 * 1.10) {
-      fail(std::string(shape) + ": 2 threads (" + std::to_string(opt2) +
-           " ns) lose to 1 thread (" + std::to_string(opt1) + " ns)");
+  for (const auto& [key, ratio] : g_speedups) {
+    if (key.rfind("gemm_", 0) == 0 && ratio <= 1.0) {
+      fail(key + ": optimized does not beat seed (" + std::to_string(ratio) +
+           "x)");
     }
   }
-  {
-    const double f1 = find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
-    const double f2 = find_ns("grid_scoring", "fused_fp32_r1", "optimized", 2);
-    if (f1 > 0 && f2 > 0 && f2 > f1 * 1.10) {
-      fail("grid_scoring fused_fp32_r1: 2 threads lose to 1 thread");
+  // 10% timing-noise allowance; the real 2t < 1t regressions this caught
+  // were 2x-3x, not marginal.
+  for (const auto& [name, gain] : g_two_thread_gains) {
+    if (gain < 1.0 / 1.10) {
+      fail(name + ": 2 threads lose to 1 thread (" + std::to_string(gain) +
+           "x)");
     }
   }
   std::ifstream in(baseline_path);
@@ -410,19 +516,7 @@ int run_gate(const std::string& baseline_path) {
            std::to_string(base));
     }
   };
-  for (const char* shape : {"m256_k256_n4", "m16_k2048_n16_tA"}) {
-    const double seed_ns = find_ns("gemm", shape, "seed", 1);
-    const double opt_ns = find_ns("gemm", shape, "optimized", 1);
-    check_ratio("gemm_speedup_" + std::string(shape) + "_1t",
-                seed_ns > 0 && opt_ns > 0 ? seed_ns / opt_ns : 0.0);
-  }
-  {
-    const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    const double fused_ns =
-        find_ns("grid_scoring", "fused_fp32_r1", "optimized", 1);
-    check_ratio("grid_scoring_fused_fp32_speedup_1t",
-                legacy_ns > 0 && fused_ns > 0 ? legacy_ns / fused_ns : 0.0);
-  }
+  for (const auto& [key, ratio] : g_speedups) check_ratio(key, ratio);
   if (failures == 0) std::printf("[gate] all checks passed\n");
   return failures;
 }
@@ -450,6 +544,7 @@ int main(int argc, char** argv) {
   }
   const double min_sample_s = quick ? 0.02 : 0.1;
   const int samples = quick ? 2 : 4;
+  g_pairs = quick ? 3 : 9;
 
   // Always report t=2 (even on one core) so the scaling machinery and the
   // thread-count-independence of the kernels get exercised everywhere.
@@ -464,6 +559,7 @@ int main(int argc, char** argv) {
   bench_gemm(thread_counts, min_sample_s, samples);
   bench_attention(thread_counts, min_sample_s, samples);
   bench_grid_scoring(thread_counts, min_sample_s, samples);
+  bench_training(min_sample_s, samples);
   double seed_1t = 0.0;
   double opt_1t = 0.0;
   const double speedup =

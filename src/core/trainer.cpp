@@ -71,6 +71,11 @@ TrainResult train_impl(Surrogate& model, const nn::Dataset& dataset,
     double loss_sum = 0.0;
     std::size_t seen = 0;
     for (std::int64_t b = 0; b < loader.batches_per_epoch(); ++b) {
+      // One arena scope per step: the batch, the activations, the interior
+      // gradients and fused attention's saved P and keep flags bump-allocate
+      // and are rewound before the next step. Parameter gradients and Adam's
+      // moments stay on the heap (nn/arena.hpp).
+      nn::arena::Scope step_scope;
       const nn::Batch batch = loader.batch(b);
       adam.zero_grad();
       nn::Var pred = model.forward(nn::make_leaf(batch.sequences, false),

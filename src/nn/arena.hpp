@@ -1,9 +1,10 @@
 #pragma once
 // Bump/arena allocator for Tensor storage. Inference builds and discards an
-// entire graph of intermediate tensors per forward pass; with an active
-// arena Scope those buffers come from a thread-local chunk list that is
-// rewound — not freed — when the scope ends, so steady-state inference
-// performs zero heap allocations per op.
+// entire graph of intermediate tensors per forward pass, training one per
+// step (forward and backward); with an active arena Scope those buffers
+// come from a thread-local chunk list that is rewound — not freed — when
+// the scope ends, so steady-state inference performs zero heap allocations
+// per op.
 //
 // Lifetime rules (documented in DESIGN.md §Performance):
 //  * A Scope covers one forward pass (e.g. Surrogate::predict_grid, one
@@ -13,8 +14,12 @@
 //  * Scopes nest: an inner scope rewinds to its own watermark only.
 //  * The arena is thread-local. Worker threads spawned inside a scope (e.g.
 //    parallel_for bodies) see no arena and allocate normally.
-//  * Gradients are never arena-backed (autograd pauses the arena when
-//    allocating them), so parameter grads always survive any scope.
+//  * Leaf gradients are never arena-backed (autograd pauses the arena when
+//    allocating them), so parameter grads always survive any scope. An
+//    interior node's gradient dies with its graph and takes the arena, so
+//    a training step under one scope (core::train) bump-allocates its
+//    activations and their gradients alike. Optimizer state pauses the
+//    arena too.
 //  * Zero-cost when disabled: with no active scope, Tensor allocation takes
 //    one thread-local load + branch and goes to the heap as before.
 

@@ -31,6 +31,7 @@ class MultiHeadAttention : public Module {
   }
 
   std::int64_t num_heads() const { return heads_; }
+  const Dropout& attention_dropout() const { return attn_dropout_; }
 
  private:
   std::int64_t dim_;
@@ -46,5 +47,13 @@ class MultiHeadAttention : public Module {
   // side-channel, not part of the model's logical state.
   mutable std::optional<Tensor> last_attention_;
 };
+
+namespace detail {
+/// True when MultiHeadAttention's fused training pass runs in this build: it
+/// is compiled in (AVX-512) and a once-per-process probe shows it reproduces
+/// the composed op graph bit for bit (DESIGN.md §7). Evaluate with gradients
+/// enabled and reference mode off, as forward() does.
+bool fused_training_attention_available();
+}  // namespace detail
 
 }  // namespace deepbat::nn

@@ -19,10 +19,16 @@ NoGradGuard::~NoGradGuard() { --tl_no_grad_depth; }
 
 Tensor& Node::ensure_grad() {
   if (!has_grad) {
-    // Gradients are never arena-backed: parameter grads must survive any
-    // inference arena scope that happens to be active (see arena.hpp).
-    arena::Pause heap_alloc;
-    grad = Tensor::zeros(value.shape());
+    // Leaf gradients (parameters, inputs) are never arena-backed: they must
+    // survive any arena scope that happens to be active, such as a training
+    // step's. An interior node's gradient dies with its graph, so it takes
+    // the arena when one is active (see arena.hpp).
+    if (backward_fn) {
+      grad = Tensor::zeros(value.shape());
+    } else {
+      arena::Pause heap_alloc;
+      grad = Tensor::zeros(value.shape());
+    }
     has_grad = true;
   }
   return grad;
@@ -36,6 +42,7 @@ void Node::accumulate_grad(const Tensor& g) {
 
 void Node::zero_grad() {
   has_grad = false;
+  arena::Pause heap_alloc;  // the placeholder outlives any arena scope
   grad = Tensor();
 }
 

@@ -18,7 +18,7 @@
 #if defined(__AVX512F__) && defined(__x86_64__) && defined(__GLIBC__) && \
     defined(__GNUC__) && !defined(__clang__)
 #define DEEPBAT_SDPA_DH4_AVX512 1
-#include <immintrin.h>
+#include "nn/avx512.hpp"
 // libmvec's unmasked 16-lane expf, by its x86-64 vector-ABI name: the
 // function GCC calls for the generic loop's `::expf` on this ISA.
 extern "C" __m512 _ZGVeN16v_expf(__m512 x);
@@ -483,38 +483,6 @@ constexpr std::int64_t kSdpaRows = 3;
 
 #ifdef DEEPBAT_SDPA_DH4_AVX512
 
-/// In-register 16 x 16 transpose: afterwards a[l] holds lane l of every
-/// input vector, input vector c in lane c.
-inline void transpose16(__m512 a[16]) {
-  __m512 t[16];
-  for (int i = 0; i < 16; i += 2) {
-    t[i] = _mm512_unpacklo_ps(a[i], a[i + 1]);
-    t[i + 1] = _mm512_unpackhi_ps(a[i], a[i + 1]);
-  }
-  for (int i = 0; i < 16; i += 4) {
-    const __m512d t0 = _mm512_castps_pd(t[i]);
-    const __m512d t1 = _mm512_castps_pd(t[i + 1]);
-    const __m512d t2 = _mm512_castps_pd(t[i + 2]);
-    const __m512d t3 = _mm512_castps_pd(t[i + 3]);
-    a[i] = _mm512_castpd_ps(_mm512_unpacklo_pd(t0, t2));
-    a[i + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(t0, t2));
-    a[i + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(t1, t3));
-    a[i + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(t1, t3));
-  }
-  for (int i = 0; i < 4; ++i) {
-    t[i] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0x88);
-    t[i + 4] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0xdd);
-    t[i + 8] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0x88);
-    t[i + 12] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0xdd);
-  }
-  for (int i = 0; i < 4; ++i) {
-    a[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
-    a[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
-    a[i + 4] = _mm512_shuffle_f32x4(t[i + 4], t[i + 12], 0x88);
-    a[i + 12] = _mm512_shuffle_f32x4(t[i + 4], t[i + 12], 0xdd);
-  }
-}
-
 // GCC 12 reports the self-initialised _mm512_undefined_ps() inside
 // _mm512_max_ps as maybe-uninitialized; the unmasked max never reads it.
 #pragma GCC diagnostic push
@@ -597,7 +565,7 @@ void sdpa_block_dh4(const float* qb, const float* kt, const float* vt,
       a[4] = _mm512_fmadd_ps(e, v3, a[4]);
     }
   }
-  transpose16(acc);
+  avx512::transpose16(acc);
   __m512 total = _mm512_setzero_ps();
   for (const __m512& lane : acc) total = _mm512_add_ps(total, lane);
   alignas(64) float sums[16];

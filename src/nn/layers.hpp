@@ -60,6 +60,13 @@ class Dropout : public Module {
   /// case.
   bool is_active() const { return p_ > 0.0F && training() && grad_enabled(); }
 
+  float p() const { return p_; }
+
+  /// The stream forward() draws its mask from: one uniform() per element in
+  /// flat order, kept when below 1 - p. Fused attention draws its keep flags
+  /// from it the same way (nn/fused_attention.hpp).
+  Rng& stream() const { return rng_; }
+
  private:
   float p_;
   mutable Rng rng_;  // consumed only while is_active()

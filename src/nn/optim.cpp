@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nn/arena.hpp"
 
 namespace deepbat::nn {
 
@@ -39,6 +40,7 @@ Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
     : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {}
 
 void Sgd::step() {
+  arena::Pause heap_alloc;  // the state outlives any step's arena scope
   for (const auto& p : params_) {
     if (!p->has_grad) continue;
     if (momentum_ > 0.0F) {
@@ -68,10 +70,17 @@ void Adam::step() {
   const auto t = static_cast<float>(t_);
   const float bias1 = 1.0F - std::pow(beta1_, t);
   const float bias2 = 1.0F - std::pow(beta2_, t);
+  arena::Pause heap_alloc;  // the moments outlive any step's arena scope
   for (const auto& p : params_) {
     if (!p->has_grad) continue;
-    auto [mit, m_new] = m_.try_emplace(p.get(), Tensor::zeros(p->value.shape()));
-    auto [vit, v_new] = v_.try_emplace(p.get(), Tensor::zeros(p->value.shape()));
+    auto mit = m_.find(p.get());
+    if (mit == m_.end()) {
+      mit = m_.emplace(p.get(), Tensor::zeros(p->value.shape())).first;
+    }
+    auto vit = v_.find(p.get());
+    if (vit == v_.end()) {
+      vit = v_.emplace(p.get(), Tensor::zeros(p->value.shape())).first;
+    }
     float* m = mit->second.data();
     float* v = vit->second.data();
     float* w = p->value.data();

@@ -124,7 +124,10 @@ std::vector<FleetTenant> make_fleet(const std::vector<Trace>& traces,
   std::vector<FleetTenant> fleet;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     FleetTenant t;
-    t.name = "t" + std::to_string(i);
+    // Built by appending: GCC 12 flags both `"t" + to_string` and a
+    // `name = "t"` assignment with a false -Wrestrict (GCC bug 105329).
+    t.name.push_back('t');
+    t.name += std::to_string(i);
     t.trace = &traces[i];
     t.slo_s = slos[i];
     fleet.push_back(t);

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "common/error.hpp"
 #include "core/pretrained.hpp"
+#include "nn/attention.hpp"
 #include "workload/synth.hpp"
 
 namespace deepbat::core {
@@ -149,6 +151,44 @@ TEST(Trainer, EpochCallbackFires) {
   topt.on_epoch = [&](int, double, double) { ++fired; };
   train(sur, ds, topt);
   EXPECT_EQ(fired, 3);
+}
+
+TEST(Trainer, FusedAttentionFineTuneIsBitIdentical) {
+  // A bench-shaped surrogate (L = 128, attention dropout 0.1) fine-tuned
+  // through the fused training attention must end with exactly the
+  // parameters the composed graph gives; recording the attention maps
+  // forces the composed graph.
+  if (!nn::detail::fused_training_attention_available()) {
+    GTEST_SKIP() << "this build has no fused training attention pass";
+  }
+  auto opts = tiny_dataset_options();
+  opts.sequence_length = 128;
+  opts.samples = 24;
+  const auto ds = build_dataset(test_trace(), lambda::ConfigGrid::small(),
+                                model(), opts);
+  const auto tune = [&](bool record_attention) {
+    SurrogateConfig scfg;
+    scfg.sequence_length = 128;
+    Surrogate sur(scfg, lambda::ConfigGrid::small());
+    sur.set_record_attention(record_attention);
+    TrainOptions topt;
+    topt.epochs = 2;
+    topt.shuffle_seed = 3;
+    fine_tune(sur, ds, topt);
+    std::vector<nn::Tensor> params;
+    for (const auto& p : sur.parameters()) params.push_back(p->value.clone());
+    return params;
+  };
+  const auto fused = tune(false);
+  const auto composed = tune(true);
+  ASSERT_EQ(fused.size(), composed.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    ASSERT_EQ(fused[i].numel(), composed[i].numel());
+    EXPECT_EQ(std::memcmp(fused[i].data(), composed[i].data(),
+                          sizeof(float) * fused[i].numel()),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST(Pretrained, TrainsThenLoadsFromCache) {
