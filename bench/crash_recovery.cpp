@@ -15,10 +15,10 @@
 // Gate (exit 1 on any failure): the recovered PlatformRuns must be
 // bit-identical to the reference — decisions, request records, costs,
 // retries, and surrogate swap ticks — for every scenario in {calm, flaky,
-// chaos} at shard counts {1, 2, 5}, work stealing on. A calm pass plus two
-// transient-fault scenarios with retraining exercises every serialized
-// subsystem: calendar scheduler, simulator + fault streams, encoder cache,
-// breaker, harvester/drift/retrainer, and the versioned surrogate store.
+// chaos} at shard counts {1, 2, 5}. A calm pass plus two transient-fault
+// scenarios with retraining exercises every serialized subsystem: tick
+// scheduler, simulator + fault streams, encoder cache, breaker,
+// harvester/drift/retrainer, and the versioned surrogate store.
 //
 // The harness then corrupts the last checkpoint four ways — truncation,
 // a payload bit-flip, a version bump, and a magic change — and requires

@@ -57,10 +57,10 @@ echo "== crash recovery smoke =="
 
 echo "== runtime scale smoke =="
 # Million-tenant runtime gate (DESIGN.md §15) at smoke size: a 10k-tenant
-# Zipf population through the calendar-queue scheduler and work-stealing
-# shards. Exits 1 if per-tick scheduler cost grows with the fleet (the
-# pre-calendar O(tenants) scan) or if any 2-shard stolen run diverges from
-# the 1-shard replay.
+# Zipf population through the heap tick scheduler at 1 and 2 shards.
+# Exits 1 if per-tick cost grows more than 8x from 1k to 10k tenants (an
+# O(tenants) scheduler would) or if any 2-shard run diverges from the
+# 1-shard replay.
 ./build/bench/runtime_scale --max-tenants 10000 --out /tmp/deepbat_scale.json
 
 echo "== e2e probe-transparency check =="
@@ -115,9 +115,10 @@ cmake --build build-tsan -j"$(nproc)" --target test_obs test_common \
 echo "== tsan: run =="
 ./build-tsan/tests/test_obs
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_common
-# test_runtime carries the work-stealing surface: the steal-stress case
-# (6 shards, short quanta, claims changing hands) plus the stealing
-# on/off shard-invariance and faulted-replay matrices.
+# test_runtime carries the sharded executor: the 4- and 6-shard stress
+# cases (every shard encoding through one shared instance, short tick
+# groups) plus the shard-invariance, faulted-replay and checkpoint
+# matrices.
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_runtime
 # Fleet tests drive mixed CPU/GPU tenants through the sharded runtime —
 # the heterogeneous-backend dispatch path under TSan.

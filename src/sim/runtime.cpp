@@ -83,97 +83,31 @@ void Runtime::start() {
 std::vector<PlatformRun> Runtime::run() {
   if (tenants_.empty()) return {};
   start();
-  const std::size_t shard_count = shard_count_;
-  auto& shards = shards_;
-  auto& pool = pool_;
 
-  const bool stealing = options_.work_stealing && shard_count > 1;
+  // Shards 1..S-1 run as pool tasks; shard 0 runs on the calling thread
+  // (the helping wait in WorkerPool would pull it onto this thread
+  // anyway). Each shard runs to completion. Wait for every shard before
+  // rethrowing so no shard is left touching its PlatformRuns when an error
+  // unwinds.
+  std::vector<WorkerPool::Handle> handles;
+  handles.reserve(shard_count_ - 1);
+  for (std::size_t s = 1; s < shard_count_; ++s) {
+    handles.push_back(
+        pool_->submit([shard = shards_[s].get()] { shard->run(); }));
+  }
   std::exception_ptr error;
-  if (!stealing) {
-    // Static schedule: shards 1..S-1 run as pool tasks; shard 0 runs on
-    // the calling thread (the helping wait in WorkerPool would pull it
-    // onto this thread anyway). Wait for every shard before rethrowing so
-    // no shard is left touching its PlatformRuns when an error unwinds.
-    std::vector<WorkerPool::Handle> handles;
-    handles.reserve(shard_count > 0 ? shard_count - 1 : 0);
-    for (std::size_t s = 1; s < shard_count; ++s) {
-      handles.push_back(
-          pool->submit([shard = shards[s].get()] { shard->run(); }));
-    }
+  try {
+    shards_[0]->run();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (WorkerPool::Handle& h : handles) h.wait();
+  for (WorkerPool::Handle& h : handles) {
+    if (error != nullptr) break;
     try {
-      shards[0]->run();
+      h.rethrow();
     } catch (...) {
       error = std::current_exception();
-    }
-    for (WorkerPool::Handle& h : handles) h.wait();
-    for (WorkerPool::Handle& h : handles) {
-      if (error != nullptr) break;
-      try {
-        h.rethrow();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-  } else {
-    // Work stealing (DESIGN.md §15): S executors over S claimable shards.
-    // Each executor scans from its home shard, claims the first unclaimed
-    // unfinished shard it meets, and executes ONE tick group (or the final
-    // drain) under the claim. A shard's groups therefore run in the same
-    // serial order as run() — only the executing thread varies — which is
-    // what keeps stolen runs bit-identical to the static schedule.
-    //
-    // Termination: an executor retires when every shard is finished, or
-    // when a full scan claimed nothing while every unfinished shard was
-    // claimed by some other executor. A quantum submits no pool work, so a
-    // claim is only ever held by an executor that is running its quantum;
-    // retiring instead of spinning just leaves that shard to its holder.
-    // An executor that just released a claim always rescans before
-    // retiring, so the last holder of an unfinished shard either finishes
-    // it or hands it to a live executor.
-    auto execute = [&shards, shard_count](std::size_t home) {
-      for (;;) {
-        bool all_finished = true;
-        bool progressed = false;
-        for (std::size_t k = 0; k < shard_count; ++k) {
-          RuntimeShard* shard = shards[(home + k) % shard_count].get();
-          if (shard->finished()) continue;
-          all_finished = false;
-          if (!shard->try_claim()) continue;
-          // Re-check under the claim: the previous holder may have
-          // finalized (or failed) the shard just before releasing.
-          if (shard->finished()) {
-            shard->release_claim();
-            continue;
-          }
-          if (k != 0) shard->count_steal();
-          try {
-            if (!shard->run_quantum()) shard->finalize_run();
-          } catch (...) {
-            shard->fail(std::current_exception());
-          }
-          progressed = true;
-          shard->release_claim();
-        }
-        if (all_finished) return;
-        if (!progressed) {
-          // Claimed nothing: every unfinished shard is being driven by
-          // another executor — retire rather than spin against it.
-          return;
-        }
-      }
-    };
-    std::vector<WorkerPool::Handle> handles;
-    handles.reserve(shard_count - 1);
-    for (std::size_t e = 1; e < shard_count; ++e) {
-      handles.push_back(pool->submit([&execute, e] { execute(e); }));
-    }
-    execute(0);
-    for (WorkerPool::Handle& h : handles) h.wait();
-    for (const auto& shard : shards) {
-      if (shard->error() != nullptr) {
-        error = shard->error();
-        break;
-      }
     }
   }
   if (error != nullptr) std::rethrow_exception(error);
@@ -181,7 +115,7 @@ std::vector<PlatformRun> Runtime::run() {
   // Fold per-shard stats in shard order on top of any pre-restore base:
   // counts sum, rates recompute, high-water marks take the max.
   stats_ = base_stats_;
-  for (const auto& shard : shards) stats_.merge(shard->stats());
+  for (const auto& shard : shards_) stats_.merge(shard->stats());
   return std::move(runs_);
 }
 
@@ -190,8 +124,7 @@ void Runtime::run_until(double limit) {
   start();
   // Sequential stepwise advance: shard results are schedule-invariant, so
   // draining each shard to the boundary on this thread is bit-identical to
-  // the parallel paths (only the timing-dependent steals / queue-depth
-  // stats can differ).
+  // run()'s parallel schedule.
   for (const auto& shard : shards_) {
     while (shard->run_quantum(limit) == RuntimeShard::Quantum::kRan) {
     }

@@ -22,9 +22,9 @@
 //                     RuntimeStats at join.
 //
 // Determinism contract (tests/sim/test_runtime.cpp): a run with ANY shard
-// count, with or without work stealing, is bit-identical per tenant to N
-// independent run_platform() replays. run_platform() itself is a
-// single-tenant, single-shard wrapper over this loop.
+// count is bit-identical per tenant to N independent run_platform()
+// replays. run_platform() itself is a single-tenant, single-shard wrapper
+// over this loop.
 
 #include <algorithm>
 #include <cstddef>
@@ -240,13 +240,12 @@ struct RuntimeStats {
   std::size_t fleet_groups = 0;
   std::size_t cpu_invocations = 0;
   std::size_t gpu_invocations = 0;
-  /// Work-stealing accounting (DESIGN.md §15): tick-group claims taken by
-  /// an executor other than the shard's home executor (mirrored into the
-  /// sim.runtime.steals counter), and the high-water mark of pending live
-  /// tenant slots observed on any single shard (sim.runtime.queue_depth
-  /// gauge). Both depend on thread timing, so — unlike every other field —
-  /// they are NOT reproducible run over run; per-tenant results are.
+  /// Always 0: the static shard schedule never moves a tick group to
+  /// another thread. Kept, merged and checkpointed only because
+  /// bench/e2e still reports it (DESIGN.md §15).
   std::size_t steals = 0;
+  /// High-water mark of pending live tenant slots observed on any single
+  /// shard (sim.runtime.queue_depth gauge).
   std::size_t max_queue_depth = 0;
 
   double cache_hit_rate() const {
@@ -282,19 +281,11 @@ struct RuntimeStats {
 
 struct RuntimeOptions {
   /// Worker shards tenants are partitioned over (slot i -> shard i mod
-  /// shards, clamped to the tenant count). 1 replays every tenant on the
-  /// calling thread, exactly the pre-sharding loop.
+  /// shards, clamped to the tenant count). Shard 0 runs on the calling
+  /// thread and shards 1..S-1 on a WorkerPool, each to completion; 1
+  /// replays every tenant on the calling thread, exactly the pre-sharding
+  /// loop.
   std::size_t shards = 1;
-  /// Work-stealing execution (DESIGN.md §15): instead of pinning shard k to
-  /// executor k for its whole replay, every executor scans for a claimable
-  /// shard (home shard first) and executes ONE tick group per claim, so an
-  /// executor whose own shards drained keeps driving the lagging ones. A
-  /// shard's groups still run in strict serial order — the claim hands the
-  /// shard state between executors with acquire/release ordering — so
-  /// per-tenant results stay bit-identical to the static schedule at every
-  /// shard count; only the steals / queue-depth stats are timing-dependent.
-  /// No effect at 1 shard.
-  bool work_stealing = true;
 };
 
 /// The sharded executor. With a batch encoder, all SplitController tenants

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -36,7 +37,6 @@ RuntimeShard::RuntimeShard(Options options, BatchEncoder* encoder,
   c_fleet_groups_ = &registry.counter("sim.runtime.fleet_group");
   c_cpu_invocations_ = &registry.counter("sim.runtime.cpu_invocation");
   c_gpu_invocations_ = &registry.counter("sim.runtime.gpu_invocation");
-  c_steals_ = &registry.counter("sim.runtime.steals");
   g_queue_depth_ = &registry.gauge("sim.runtime.queue_depth");
   h_encode_ = &registry.histogram("sim.runtime.batch_encode_seconds");
   h_score_ = &registry.histogram("sim.runtime.batch_score_seconds");
@@ -62,13 +62,13 @@ void RuntimeShard::add_tenant(const TenantSpec& spec, PlatformRun* out) {
   const bool empty = spec.trace->empty();
   if (!empty) {
     if (spec.backend != nullptr) {
-      st.sim = arena_.create<BatchSimulator>(
-          *spec.backend, spec.initial_config, spec.options.cold_start_seed,
-          &spec.options.faults, spec.options.fault_stream);
+      st.sim.emplace(*spec.backend, spec.initial_config,
+                     spec.options.cold_start_seed, &spec.options.faults,
+                     spec.options.fault_stream);
     } else {
-      st.sim = arena_.create<BatchSimulator>(
-          *spec.model, spec.initial_config, spec.options.cold_start_seed,
-          &spec.options.faults, spec.options.fault_stream);
+      st.sim.emplace(*spec.model, spec.initial_config,
+                     spec.options.cold_start_seed, &spec.options.faults,
+                     spec.options.fault_stream);
     }
     st.split = encoder_ != nullptr
                    ? dynamic_cast<SplitController*>(spec.controller)
@@ -79,7 +79,7 @@ void RuntimeShard::add_tenant(const TenantSpec& spec, PlatformRun* out) {
   scheduler_.add(spec.options.control_interval_s,
                  empty ? 0.0 : spec.trace->start_time(),
                  empty ? 0.0 : spec.trace->end_time(), empty);
-  tenants_.push_back(st);
+  tenants_.push_back(std::move(st));
 }
 
 void RuntimeShard::process_events(TenantState& st, double t) {
@@ -92,9 +92,9 @@ void RuntimeShard::process_events(TenantState& st, double t) {
 
 void RuntimeShard::prepare() {
   prepared_ = true;
-  // Tag spans completed while this shard executes. Worker threads are
-  // reused — and under stealing a shard hops threads — so the scope is
-  // opened per quantum, keyed by the SHARD, not the executor. Single-shard
+  // Tag spans completed while this shard executes. One thread can drive
+  // several shards (run_until() steps them all on the caller), so the scope
+  // is opened per quantum, keyed by the SHARD, not the thread. Single-shard
   // runs stay untagged: their trace output is byte-stable with the
   // pre-sharding runtime.
   shard_tag_ = options_.shard_count > 1
@@ -107,11 +107,6 @@ void RuntimeShard::prepare() {
     DEEPBAT_CHECK(scorer_->encoding_dim() == encoding_dim_,
                   "Runtime: scorer encoding dim differs from the encoder's");
   }
-}
-
-bool RuntimeShard::run_quantum() {
-  return run_quantum(std::numeric_limits<double>::infinity()) ==
-         Quantum::kRan;
 }
 
 RuntimeShard::Quantum RuntimeShard::run_quantum(double limit) {
@@ -275,7 +270,7 @@ void RuntimeShard::finalize_run() {
   if (!prepared_) prepare();  // all-empty shard: no quantum ever ran
   obs::ShardScope shard_scope(shard_tag_);
   for (TenantState& st : tenants_) {
-    if (st.sim == nullptr) continue;  // empty trace
+    if (!st.sim.has_value()) continue;  // empty trace
     const workload::Trace& trace = *st.spec->trace;
     while (st.next_arrival < trace.size()) {
       st.sim->offer(trace[st.next_arrival++]);
@@ -313,21 +308,11 @@ void RuntimeShard::finalize_run() {
       c_fleet_groups_->add();
     }
   }
-  finished_.store(true, std::memory_order_release);
-}
-
-void RuntimeShard::fail(std::exception_ptr error) {
-  error_ = error;
-  finished_.store(true, std::memory_order_release);
-}
-
-void RuntimeShard::count_steal() {
-  ++stats_.steals;
-  c_steals_->add();
 }
 
 void RuntimeShard::run() {
-  while (run_quantum()) {
+  while (run_quantum(std::numeric_limits<double>::infinity()) ==
+         Quantum::kRan) {
   }
   finalize_run();
 }
@@ -339,8 +324,8 @@ void RuntimeShard::save_tenant(std::size_t local, CheckpointWriter& w) const {
   w.i64(scheduler_.tick_index(local));
   w.boolean(scheduler_.done(local));
   w.u64(st.next_arrival);
-  w.boolean(st.sim != nullptr);
-  if (st.sim != nullptr) st.sim->save_state(w);
+  w.boolean(st.sim.has_value());
+  if (st.sim.has_value()) st.sim->save_state(w);
 }
 
 void RuntimeShard::restore_tenant(std::size_t local, CheckpointReader& r) {
@@ -352,12 +337,12 @@ void RuntimeShard::restore_tenant(std::size_t local, CheckpointReader& r) {
   scheduler_.restore_slot(local, tick_index, done);
   st.next_arrival = static_cast<std::size_t>(r.u64());
   const bool had_sim = r.boolean();
-  DEEPBAT_CHECK(had_sim == (st.sim != nullptr),
+  DEEPBAT_CHECK(had_sim == st.sim.has_value(),
                 "RuntimeShard: checkpoint tenant has a different trace shape "
                 "(simulator presence mismatch)");
-  if (st.sim != nullptr) st.sim->restore_state(r);
+  if (st.sim.has_value()) st.sim->restore_state(r);
 }
 
-void RuntimeShard::finish_restore() { scheduler_.reset_calendar(); }
+void RuntimeShard::finish_restore() { scheduler_.rebuild(); }
 
 }  // namespace deepbat::sim

@@ -1,45 +1,30 @@
 #pragma once
 // One execution unit of the sharded multi-tenant runtime (DESIGN.md §10,
 // §15). A RuntimeShard owns a subset of tenants end-to-end: their batching
-// simulators (arena-pooled, so a million-tenant shard is a handful of chunk
-// allocations instead of per-tenant heap churn), their controllers (and
+// simulators (held by value in the tenant table), their controllers (and
 // therefore each controller's DecisionEngine / SequenceEncoder memo —
 // single-writer by construction, since a tenant belongs to exactly one
 // shard), a TickScheduler over that subset, and the runtime's shared
 // BatchEncoder / BatchScorer for the shard's batched passes.
 //
-// Two ways to drive a shard:
-//
-//  * run() — replay to completion on one thread (the static schedule).
-//  * the stepwise API — run_quantum() executes exactly ONE tick group and
-//    finalize_run() drains the tail; the work-stealing coordinator in
-//    Runtime::run() interleaves quanta of lagging shards across executors.
-//    A shard's quanta still execute in strict serial order: ONE executor at
-//    a time holds the shard's ShardClaim, and the claim's acquire/release
-//    ordering hands the shard's (unsynchronized) state from executor to
-//    executor. The executing thread changes; the computation does not — so
-//    per-tenant results stay bit-identical to run().
-//
-// A quantum runs entirely on the thread that holds the claim: the group's
-// batched encode and fused score run inline, and only the group's members
-// are advanced. A shard therefore never submits pool work or waits while
-// it holds its claim.
+// run() replays the shard to completion on the calling thread. The
+// stepwise API underneath it — run_quantum() executes exactly ONE tick
+// group, finalize_run() drains the tail — is also what Runtime::run_until()
+// drives to stop at a checkpoint boundary. A quantum runs entirely on the
+// calling thread: the group's batched encode and fused score run inline,
+// and only the group's members are advanced.
 //
 // Instrumentation: spans and sim.runtime.* metrics tick as before; a
 // multi-shard run additionally records sim.runtime.shard<k>.* histogram
 // variants and tags every span completed inside the shard with its id
-// (obs::ShardScope), all without hot-path locks. Stealing adds the
-// sim.runtime.steals counter and the sim.runtime.queue_depth high-water
-// gauge.
+// (obs::ShardScope), all without hot-path locks. The pending-tenant
+// high-water mark rides the sim.runtime.queue_depth gauge.
 
 #include <cstddef>
-#include <atomic>
-#include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
-#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "sim/batch_sim.hpp"
 #include "sim/runtime.hpp"
@@ -73,22 +58,10 @@ class RuntimeShard {
   std::size_t tenant_count() const { return tenants_.size(); }
 
   /// Replay every owned tenant to the end of its trace on the calling
-  /// thread. Equivalent to run_quantum() until exhausted + finalize_run().
+  /// thread: run_quantum() until exhausted, then finalize_run().
   void run();
 
-  // ---- Stepwise API (work-stealing coordinator, DESIGN.md §15) ----
-  // None of these take locks: the caller serializes access by holding the
-  // shard's claim. finished() alone may be read without the claim (it is
-  // the coordinator's scan predicate).
-
-  bool try_claim() { return claim_.try_acquire(); }
-  void release_claim() { claim_.release(); }
-
-  /// Execute exactly one tick group. False when no pending group remains
-  /// (the caller should finalize_run() under the same claim).
-  bool run_quantum();
-
-  /// Outcome of a limit-bounded quantum (Runtime::run_until).
+  /// Outcome of a limit-bounded quantum.
   enum class Quantum {
     kRan,       // one tick group executed
     kDeferred,  // next group lies beyond the limit; nothing executed
@@ -96,26 +69,15 @@ class RuntimeShard {
   };
 
   /// Execute exactly one tick group whose instant is <= `limit`. Peeking a
-  /// group beyond the limit is free: next_group() is idempotent until the
-  /// group's complete_tick() calls, so a deferred group is re-formed intact
-  /// by the next quantum (or by a restored replay — the calendar is derived
-  /// state).
+  /// group beyond the limit is free: next_group() keeps returning the open
+  /// group until its complete_tick() calls, so a deferred group is re-formed
+  /// intact by the next quantum (or by a restored replay — the scheduler's
+  /// heap is derived state).
   Quantum run_quantum(double limit);
 
   /// Drain every tenant's remaining arrivals, finalize simulators, and fill
-  /// the PlatformRuns; marks the shard finished (release order).
+  /// the PlatformRuns.
   void finalize_run();
-
-  /// Record the error and retire the shard so no executor re-claims it. The
-  /// shard's PlatformRuns are left as-is (partially filled).
-  void fail(std::exception_ptr error);
-
-  bool finished() const { return finished_.load(std::memory_order_acquire); }
-  std::exception_ptr error() const { return error_; }
-
-  /// Record one quantum executed by a non-home executor (caller holds the
-  /// claim, so the plain counter bump is safe).
-  void count_steal();
 
   const RuntimeStats& stats() const { return stats_; }
 
@@ -134,15 +96,15 @@ class RuntimeShard {
   /// fault/cold layers is checked, throwing deepbat::Error on mismatch.
   void restore_tenant(std::size_t local, CheckpointReader& r);
 
-  /// Drop the scheduler's derived calendar after the last restore_tenant();
-  /// the next quantum rebuilds it from the restored slots.
+  /// Rebuild the scheduler's heap from the restored slots after the last
+  /// restore_tenant().
   void finish_restore();
 
  private:
   struct TenantState {
     const TenantSpec* spec = nullptr;
     PlatformRun* out = nullptr;
-    BatchSimulator* sim = nullptr;  // arena-pooled; null for empty traces
+    std::optional<BatchSimulator> sim;  // empty for an empty trace
     SplitController* split = nullptr;
     std::size_t next_arrival = 0;
     SplitController::TickRequest request;  // valid within one tick group
@@ -162,18 +124,8 @@ class RuntimeShard {
   BatchEncoder* encoder_;
   BatchScorer* scorer_;
   TickScheduler scheduler_;
-  /// Per-shard arena holding every tenant's BatchSimulator: registering a
-  /// tenant is a pointer bump, and one shard's simulators stay contiguous.
-  MonotonicArena arena_;
   std::vector<TenantState> tenants_;
   RuntimeStats stats_;
-
-  // Steal-mode coordination. claim_ is the shard's ownership token;
-  // finished_ flips once (under the final claim) when finalize_run or
-  // fail retires the shard.
-  ShardClaim claim_;
-  std::atomic<bool> finished_{false};
-  std::exception_ptr error_;
 
   // Derived by prepare(); stable for the rest of the replay.
   bool prepared_ = false;
@@ -205,7 +157,6 @@ class RuntimeShard {
   obs::Counter* c_fleet_groups_;
   obs::Counter* c_cpu_invocations_;
   obs::Counter* c_gpu_invocations_;
-  obs::Counter* c_steals_;
   obs::Gauge* g_queue_depth_;
   obs::Histogram* h_encode_;
   obs::Histogram* h_score_;

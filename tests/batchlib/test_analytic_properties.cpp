@@ -2,6 +2,7 @@
 // sweep of MAP shapes and configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "batchlib/analytic.hpp"
@@ -21,6 +22,13 @@ struct MapSpec {
   double r12;
   double r21;
 };
+
+// Names each case by its rates: without a printer gtest hex-dumps the
+// struct into the test name.
+void PrintTo(const MapSpec& s, std::ostream* os) {
+  *os << "mmpp2(" << s.rate1 << ", " << s.rate2 << ", " << s.r12 << ", "
+      << s.r21 << ")";
+}
 
 using Param = std::tuple<MapSpec, std::int64_t /*B*/, double /*T*/>;
 

@@ -225,7 +225,7 @@ TEST(CheckpointScheduler, RestoredSlotsReplayIdenticalGroupSequence) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     restored.restore_slot(i, live.tick_index(i), live.done(i));
   }
-  restored.reset_calendar();
+  restored.rebuild();
 
   std::vector<std::size_t> ga;
   std::vector<std::size_t> gb;

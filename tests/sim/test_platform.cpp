@@ -1,65 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "sim/des.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/platform.hpp"
 #include "workload/synth.hpp"
 
 namespace deepbat::sim {
 namespace {
-
-TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });
-  q.schedule(1.0, [&] { order.push_back(3); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, HandlersCanScheduleMoreEvents) {
-  EventQueue q;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    ++count;
-    if (count < 5) q.schedule_in(1.0, tick);
-  };
-  q.schedule(0.0, tick);
-  q.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(q.now(), 4.0);
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(5.0, [&] { ++fired; });
-  q.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, PastSchedulingRejected) {
-  EventQueue q;
-  q.schedule(2.0, [] {});
-  q.run();
-  EXPECT_THROW(q.schedule(1.0, [] {}), Error);
-}
 
 TEST(Platform, FixedControllerMatchesDirectSimulation) {
   const workload::Trace trace =

@@ -1,13 +1,13 @@
 // The multi-tenant runtime's contract: replaying N tenants through the
 // sharded executor yields results bit-identical, per tenant, to N
 // independent run_platform() replays — for EVERY shard count, with or
-// without the shared batched encoder, and with or without work stealing —
-// while each shard issues one batched encode_sequence per control tick for
-// its memo-missing tenants.
+// without the shared batched encoder — while each shard issues one batched
+// encode_sequence per control tick for its memo-missing tenants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -66,14 +66,19 @@ void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
 struct ShardCase {
   std::size_t shards;
   bool shared_encoder;
-  bool stealing = true;
 };
+
+// ctest lists each case with its printed parameter; without a printer gtest
+// hex-dumps the struct, padding bytes included.
+void PrintTo(const ShardCase& c, std::ostream* os) {
+  *os << "shards=" << c.shards
+      << (c.shared_encoder ? ", shared encoder" : ", no encoder");
+}
 
 std::string shard_case_name(const ::testing::TestParamInfo<ShardCase>& info) {
   const ShardCase& c = info.param;
   return "Shards" + std::to_string(c.shards) +
-         (c.shared_encoder ? "_Encoder" : "_NoEncoder") +
-         (c.stealing ? "" : "_NoSteal");
+         (c.shared_encoder ? "_Encoder" : "_NoEncoder");
 }
 
 class RuntimeShardInvariance : public ::testing::TestWithParam<ShardCase> {};
@@ -110,7 +115,6 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = c.shards;
-  ropts.work_stealing = c.stealing;
   Runtime runtime(c.shared_encoder ? &encoder : nullptr, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (const TenantDef& def : defs) {
@@ -164,29 +168,19 @@ INSTANTIATE_TEST_SUITE_P(
     ShardCounts, RuntimeShardInvariance,
     ::testing::Values(ShardCase{1, true}, ShardCase{1, false},
                       ShardCase{2, true}, ShardCase{2, false},
-                      ShardCase{5, true}, ShardCase{5, false},
-                      // Work-stealing OFF (static tenant->shard schedule):
-                      // the claim coordinator must be a pure execution-
-                      // layout detail — same bits either way. (At one
-                      // shard there is nothing to steal.)
-                      ShardCase{2, true, false}, ShardCase{2, false, false},
-                      ShardCase{5, true, false}, ShardCase{5, false, false}),
+                      ShardCase{5, true}, ShardCase{5, false}),
     shard_case_name);
 
 // Shard invariance must survive the fault layer: the fault stream id lives
 // in PlatformOptions (tenant identity), never in the execution layout, so a
 // chaos-scenario replay at any shard count stays bit-identical — including
 // retries, drops, and throttle-delayed dispatches — to the tenant's solo
-// run_platform() with the same options.
-struct FaultCase {
-  std::size_t shards;
-  bool stealing;
-};
-
-class FaultedShardInvariance : public ::testing::TestWithParam<FaultCase> {};
+// run_platform() with the same options. The parameter is the shard count.
+class FaultedShardInvariance
+    : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
-  const std::size_t shards = GetParam().shards;
+  const std::size_t shards = GetParam();
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
@@ -216,7 +210,6 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = shards;
-  ropts.work_stealing = GetParam().stealing;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -242,12 +235,9 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, FaultedShardInvariance,
-    ::testing::Values(FaultCase{1, true}, FaultCase{2, true},
-                      FaultCase{5, true}, FaultCase{2, false},
-                      FaultCase{5, false}),
-    [](const ::testing::TestParamInfo<FaultCase>& info) {
-      return "Shards" + std::to_string(info.param.shards) +
-             (info.param.stealing ? "" : "_NoSteal");
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{5}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "Shards" + std::to_string(info.param);
     });
 
 // TSan target (scripts/check.sh): 8 tenants over 4 shards encoding through
@@ -297,13 +287,12 @@ TEST(RuntimeTest, ConcurrentShardsStressMatchesSolo) {
   }
 }
 
-// TSan target (scripts/check.sh): the work-stealing coordinator under
-// contention. More shards than pool executors would ever stay pinned to,
-// tiny control intervals so quanta are short and claims change hands
-// often. Results must still be bit-identical to solo replays — stealing
-// moves WHERE a tick group runs, never WHAT it computes — and the steal /
-// queue-depth telemetry must land in RuntimeStats and the process metrics
-// registry.
+// TSan target (scripts/check.sh): the static shard schedule under load —
+// six shards on five pool threads plus the caller, two tenants each, tiny
+// control intervals so tick groups are short and every shard encodes
+// through the one shared instance concurrently. Results must be
+// bit-identical to solo replays, nothing is ever stolen, and the
+// queue-depth telemetry must land in RuntimeStats.
 TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
@@ -325,13 +314,9 @@ TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
     solo.push_back(run_platform(traces[i], ctl, lm, {1024, 1, 0.0}, popts));
   }
 
-  const std::uint64_t steals_before =
-      obs::MetricsRegistry::instance().counter("sim.runtime.steals").value();
-
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = 6;
-  ropts.work_stealing = true;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -354,20 +339,15 @@ TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
   }
 
   // Telemetry: every shard saw at least one pending slot, so the queue
-  // high-water mark is positive; steals are timing-dependent (may be zero
-  // on a lightly loaded run) but RuntimeStats and the registry counter
-  // must agree on this run's contribution.
+  // high-water mark is positive; the static schedule never steals.
   const RuntimeStats& stats = runtime.stats();
   EXPECT_GT(stats.max_queue_depth, 0u);
-  const std::uint64_t steals_after =
-      obs::MetricsRegistry::instance().counter("sim.runtime.steals").value();
-  EXPECT_EQ(steals_after - steals_before, stats.steals);
+  EXPECT_EQ(stats.steals, 0u);
 }
 
-// The steal / queue-depth metrics ride the generic exporters: after any
-// sharded run both names appear in the JSON document and the Prometheus
-// exposition (counter family gets the _total suffix).
-TEST(RuntimeTest, StealMetricsAppearInExporters) {
+// The queue-depth gauge rides the generic exporters: after any sharded run
+// its name appears in the JSON document and the Prometheus exposition.
+TEST(RuntimeTest, QueueDepthMetricAppearsInExporters) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
@@ -393,16 +373,12 @@ TEST(RuntimeTest, StealMetricsAppearInExporters) {
 
   const obs::MetricsSnapshot snap =
       obs::MetricsRegistry::instance().snapshot();
-  ASSERT_NE(snap.counter("sim.runtime.steals"), nullptr);
   ASSERT_NE(snap.gauge("sim.runtime.queue_depth"), nullptr);
   EXPECT_GT(snap.gauge("sim.runtime.queue_depth")->value, 0.0);
 
   const std::string json = obs::to_json(snap);
-  EXPECT_NE(json.find("\"sim.runtime.steals\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.runtime.queue_depth\""), std::string::npos);
   const std::string prom = obs::to_prometheus(snap);
-  EXPECT_NE(prom.find("deepbat_sim_runtime_steals_total"),
-            std::string::npos);
   EXPECT_NE(prom.find("deepbat_sim_runtime_queue_depth"),
             std::string::npos);
 }

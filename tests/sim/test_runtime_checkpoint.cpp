@@ -1,10 +1,10 @@
 // Runtime-level durability contract (DESIGN.md §16): a replay advanced to a
 // tick-group boundary, checkpointed, and restored into a FRESH runtime —
-// fresh controllers, any shard count, stealing on or off — must finish
-// bit-identical, per tenant, to the uninterrupted run. Corrupt snapshots
-// and mismatched tenant rosters are rejected with typed errors before any
-// state is touched. The cross-process variant of this test (kill -9 at a
-// seeded tick, restore, stitch) lives in bench/crash_recovery.
+// fresh controllers, any shard count — must finish bit-identical, per
+// tenant, to the uninterrupted run. Corrupt snapshots and mismatched tenant
+// rosters are rejected with typed errors before any state is touched. The
+// cross-process variant of this test (kill -9 at a seeded tick, restore,
+// stitch) lives in bench/crash_recovery.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -93,11 +94,10 @@ struct Harness {
     traces.push_back(workload::twitter_like({.hours = 0.04}, 99));
   }
 
-  Runtime& build(std::size_t shards, bool stealing = true) {
+  Runtime& build(std::size_t shards) {
     controllers.clear();
     RuntimeOptions ropts;
     ropts.shards = shards;
-    ropts.work_stealing = stealing;
     runtime = std::make_unique<Runtime>(&encoder, ropts);
     for (std::size_t i = 0; i < traces.size(); ++i) {
       controllers.push_back(std::make_unique<core::DeepBatController>(
@@ -121,8 +121,14 @@ struct Harness {
 struct RestoreCase {
   std::size_t save_shards;
   std::size_t restore_shards;
-  bool stealing;
 };
+
+// ctest lists each case with its printed parameter; without a printer gtest
+// hex-dumps the struct, padding bytes included.
+void PrintTo(const RestoreCase& c, std::ostream* os) {
+  *os << "save shards=" << c.save_shards
+      << ", restore shards=" << c.restore_shards;
+}
 
 class RuntimeCheckpoint : public ::testing::TestWithParam<RestoreCase> {};
 
@@ -153,11 +159,11 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
   EXPECT_GT(total_retries, 0u);  // the chaos faults actually bit
 
   const std::string path = temp_path("deepbat_runtime_ckpt.bin");
-  Runtime& saver = h.build(c.save_shards, c.stealing);
+  Runtime& saver = h.build(c.save_shards);
   saver.run_until(90.0);
   saver.save_checkpoint(path);
 
-  Runtime& restored = h.build(c.restore_shards, c.stealing);
+  Runtime& restored = h.build(c.restore_shards);
   restored.restore_checkpoint(path);
   const std::vector<PlatformRun> resumed = restored.run();
 
@@ -169,9 +175,9 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
 
   // Stitched stats: the pre-crash half rides the checkpoint and merges with
   // the post-restore half, so the deterministic control-plane totals match
-  // the uninterrupted run. (steals / max_queue_depth are timing-dependent
-  // and excluded by contract; encode totals depend on cache state, which IS
-  // checkpointed, so they match too.)
+  // the uninterrupted run. (max_queue_depth depends on the shard layout
+  // and is excluded by contract; encode totals depend on cache state, which
+  // IS checkpointed, so they match too.)
   const RuntimeStats& st = restored.stats();
   EXPECT_EQ(st.control_ticks, ref_stats.control_ticks);
   EXPECT_EQ(st.cache_hits, ref_stats.cache_hits);
@@ -191,13 +197,12 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, RuntimeCheckpoint,
-    ::testing::Values(RestoreCase{1, 1, true}, RestoreCase{2, 2, true},
-                      RestoreCase{5, 5, true}, RestoreCase{1, 5, true},
-                      RestoreCase{5, 1, true}, RestoreCase{2, 2, false}),
+    ::testing::Values(RestoreCase{1, 1}, RestoreCase{2, 2},
+                      RestoreCase{5, 5}, RestoreCase{1, 5},
+                      RestoreCase{5, 1}),
     [](const ::testing::TestParamInfo<RestoreCase>& info) {
       return "Save" + std::to_string(info.param.save_shards) + "Restore" +
-             std::to_string(info.param.restore_shards) +
-             (info.param.stealing ? "" : "_NoSteal");
+             std::to_string(info.param.restore_shards);
     });
 
 // Mixed roster: a BATCH (batchlib) tenant rides the same snapshot as the
@@ -349,7 +354,7 @@ TEST(RuntimeCheckpointTest, RejectsCorruptionAndMisuse) {
 }
 
 // ---------------------------------------------------- stats folding ------
-// PR 9's steals / max_queue_depth under merge(), including the zero-run and
+// steals / max_queue_depth under merge(), including the zero-run and
 // single-run edge cases a restored-run stitch exercises: stitching an empty
 // pre-crash half (crash before the first group) and folding exactly one
 // live shard must both be identity operations.

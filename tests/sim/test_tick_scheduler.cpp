@@ -1,11 +1,11 @@
-// Calendar-queue TickScheduler vs a linear-scan reference model. The
-// observable contract (DESIGN.md §15): groups form on the earliest pending
-// instant, members arrive in ascending slot order, bitwise-equal instants
-// share one group, and a slot retires once its next grid point passes its
-// trace end. The calendar
-// internals (bucket laps, overflow day-file, lazy stale deletion, shrink /
-// grow rebuilds) must be invisible — every test here drives the real
-// scheduler and the reference in lockstep and demands identical output.
+// Heap TickScheduler vs a linear-scan reference model. The observable
+// contract (DESIGN.md §15): groups form on the earliest pending instant,
+// members arrive in ascending slot order, bitwise-equal instants share one
+// group, a slot retires once its next grid point passes its trace end, and
+// a group stays open — next_group() returns it again — until each member's
+// complete_tick() has run. The lockstep tests drive the real scheduler and
+// the reference together and demand identical output; the populations
+// mix dense and sparse phases, late adds and mass retirement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/tick_scheduler.hpp"
 
@@ -24,7 +26,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The pre-calendar scheduler: O(slots) scans, obviously correct.
+/// A linear-scan scheduler: O(slots) scans, obviously correct.
 class ReferenceScheduler {
  public:
   std::size_t add(double interval, double start, double end,
@@ -175,10 +177,9 @@ TEST(TickScheduler, AllNeverTicksYieldsNoGroup) {
   EXPECT_FALSE(sched.next_group(group).has_value());
 }
 
-// Mass retirement: a big short-lived population retires early (forcing the
-// shrink rebuild), leaving a handful of long-horizon stragglers whose
-// instants sit many empty bucket laps ahead. The group sequence must stay
-// exact through the sparse phase.
+// Mass retirement: a big short-lived population retires early, leaving a
+// handful of long-horizon stragglers far beyond the dense phase. The group
+// sequence must stay exact through the sparse phase.
 TEST(TickScheduler, GroupsSurviveMassRetirement) {
   TickScheduler sched;
   ReferenceScheduler ref;
@@ -200,19 +201,17 @@ TEST(TickScheduler, GroupsSurviveMassRetirement) {
   EXPECT_FALSE(sched.next_group(group).has_value());
 }
 
-// Calendar bucket rollover: intervals spanning four orders of magnitude
-// make the long-interval slots land beyond the current lap (overflow
-// day-file) while the short ones churn the in-lap buckets; once the short
-// slots retire, the cursor must jump laps via overflow consolidation
-// instead of walking empty buckets — and the group sequence must not
-// notice.
+// Intervals spanning four orders of magnitude: the short ones churn the
+// front of the queue while the long ones wait far ahead, and once the
+// short slots retire the next groups are hundreds of seconds apart. The
+// group sequence must not notice.
 TEST(TickScheduler, BucketRolloverThroughOverflowConsolidation) {
   TickScheduler sched;
   ReferenceScheduler ref;
   const struct {
     double interval, end;
   } defs[] = {
-      {0.05, 2.0},     // dense: sets the bucket width small
+      {0.05, 2.0},     // dense: many short groups
       {0.08, 2.0},     //
       {1.0, 50.0},     // medium
       {25.0, 500.0},   // beyond the first laps: overflow resident
@@ -226,8 +225,8 @@ TEST(TickScheduler, BucketRolloverThroughOverflowConsolidation) {
   EXPECT_EQ(sched.live(), 0u);
 }
 
-// Late add() while ticking is in progress, including a start_time behind
-// the cursor (forces the pre-lap re-anchor rebuild).
+// Late add() while ticking is in progress, with a first tick earlier than
+// every pending one.
 TEST(TickScheduler, LateAddBehindTheCursorReanchors) {
   TickScheduler sched;
   ReferenceScheduler ref;
@@ -235,7 +234,7 @@ TEST(TickScheduler, LateAddBehindTheCursorReanchors) {
   ref.add(10.0, 0.0, 100.0, false);
 
   std::vector<std::size_t> group, ref_group;
-  // Advance a few groups so the calendar is built and the cursor moved.
+  // Advance a few groups first.
   for (int step = 0; step < 4; ++step) {
     const auto t = sched.next_group(group);
     const auto rt = ref.next_group(ref_group);
@@ -246,10 +245,153 @@ TEST(TickScheduler, LateAddBehindTheCursorReanchors) {
       ref.complete_tick(i);
     }
   }
-  // New slot whose first grid instant precedes the cursor.
+  // New slot whose first grid instant precedes every pending tick.
   sched.add(7.0, 0.0, 60.0, false);
   ref.add(7.0, 0.0, 60.0, false);
   drain_in_lockstep(sched, ref);
+}
+
+// The open-group contract a deferred quantum relies on
+// (RuntimeShard::run_quantum peeks a group beyond its limit and leaves it):
+// next_group() returns the same instant and members until every member has
+// completed, even when only some have, and only then moves on.
+TEST(TickScheduler, OpenGroupRepeatsUntilEveryMemberCompletes) {
+  TickScheduler sched;
+  ReferenceScheduler ref;
+  for (const double iv : {30.0, 45.0, 30.0, 60.0}) {
+    sched.add(iv, 0.0, 400.0, false);
+    ref.add(iv, 0.0, 400.0, false);
+  }
+  std::vector<std::size_t> group, again, ref_group;
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("group " + std::to_string(step));
+    const auto t = sched.next_group(group);
+    const auto rt = ref.next_group(ref_group);
+    ASSERT_TRUE(t.has_value() && rt.has_value());
+    EXPECT_EQ(*t, *rt);
+    EXPECT_EQ(group, ref_group);
+
+    const auto peek = sched.next_group(again);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_EQ(*peek, *t);
+    EXPECT_EQ(again, group);
+
+    for (std::size_t k = 0; k + 1 < group.size(); ++k) {
+      sched.complete_tick(group[k]);
+      ref.complete_tick(group[k]);
+    }
+    const auto partial = sched.next_group(again);
+    ASSERT_TRUE(partial.has_value());
+    EXPECT_EQ(*partial, *t);
+    EXPECT_EQ(again, group);
+    sched.complete_tick(group.back());
+    ref.complete_tick(group.back());
+  }
+  drain_in_lockstep(sched, ref);
+  EXPECT_EQ(sched.live(), 0u);
+}
+
+// A checkpoint taken while a group is open (a deferred quantum) holds the
+// members' un-advanced progress. Restoring it — into a fresh scheduler that
+// has a stale group of its own open, and into the saving scheduler itself
+// — and rebuilding must re-form exactly the open group, then continue with
+// the uninterrupted sequence.
+TEST(TickScheduler, RebuildWithAGroupOpenReformsThatGroup) {
+  const auto build = [] {
+    TickScheduler s;
+    s.add(30.0, 0.0, 400.0, false);
+    s.add(45.0, 10.0, 380.0, false);
+    s.add(30.0, 5.0, 90.0, false);  // retires partway through
+    s.add(60.0, 0.0, 350.0, false);
+    s.add(30.0, 0.0, 0.0, true);  // never ticks
+    return s;
+  };
+  TickScheduler live = build();
+  TickScheduler uninterrupted = build();
+  std::vector<std::size_t> group, ref_group;
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_TRUE(live.next_group(group).has_value());
+    ASSERT_TRUE(uninterrupted.next_group(ref_group).has_value());
+    for (const std::size_t i : group) {
+      live.complete_tick(i);
+      uninterrupted.complete_tick(i);
+    }
+  }
+  std::vector<std::size_t> open;
+  const auto t_open = live.next_group(open);
+  ASSERT_TRUE(t_open.has_value());
+
+  TickScheduler restored = build();
+  std::vector<std::size_t> stale;
+  const auto t_stale = restored.next_group(stale);
+  ASSERT_TRUE(t_stale.has_value());
+  ASSERT_NE(*t_stale, *t_open);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    restored.restore_slot(i, live.tick_index(i), live.done(i));
+  }
+  restored.rebuild();
+  EXPECT_EQ(restored.live(), live.live());
+
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    live.restore_slot(i, live.tick_index(i), live.done(i));
+  }
+  live.rebuild();
+
+  std::vector<std::size_t> ga, gb, gc;
+  for (;;) {
+    const auto ta = live.next_group(ga);
+    const auto tb = restored.next_group(gb);
+    const auto tc = uninterrupted.next_group(gc);
+    ASSERT_EQ(ta.has_value(), tb.has_value());
+    ASSERT_EQ(ta.has_value(), tc.has_value());
+    if (!ta.has_value()) break;
+    EXPECT_EQ(*ta, *tc);
+    EXPECT_EQ(*tb, *tc);
+    EXPECT_EQ(ga, gc);
+    EXPECT_EQ(gb, gc);
+    for (const std::size_t i : gc) {
+      live.complete_tick(i);
+      restored.complete_tick(i);
+      uninterrupted.complete_tick(i);
+    }
+  }
+  EXPECT_EQ(live.live(), 0u);
+  EXPECT_EQ(restored.live(), 0u);
+}
+
+// complete_tick() is only legal for a pending member of the open group: a
+// call before any group is open, a second call for one member, a call for
+// a non-member and an out-of-range slot all throw and change nothing.
+TEST(TickScheduler, CompleteTickOutsideTheOpenGroupThrows) {
+  TickScheduler sched;
+  sched.add(30.0, 0.0, 100.0, false);
+  sched.add(45.0, 0.0, 100.0, false);
+  EXPECT_THROW(sched.complete_tick(0), Error);
+  EXPECT_EQ(sched.tick_index(0), 0);
+
+  std::vector<std::size_t> group;
+  const auto t0 = sched.next_group(group);
+  ASSERT_TRUE(t0.has_value());
+  EXPECT_EQ(*t0, 0.0);
+  ASSERT_EQ(group, (std::vector<std::size_t>{0, 1}));
+  sched.complete_tick(0);
+  EXPECT_THROW(sched.complete_tick(0), Error);
+  EXPECT_EQ(sched.tick_index(0), 1);
+  sched.complete_tick(1);
+  EXPECT_THROW(sched.complete_tick(1), Error);
+
+  const auto t1 = sched.next_group(group);
+  ASSERT_TRUE(t1.has_value());
+  EXPECT_EQ(*t1, 30.0);
+  ASSERT_EQ(group, (std::vector<std::size_t>{0}));
+  EXPECT_THROW(sched.complete_tick(1), Error);
+  EXPECT_THROW(sched.complete_tick(7), Error);
+  EXPECT_EQ(sched.tick_index(1), 1);
+  sched.complete_tick(0);
+  const auto t2 = sched.next_group(group);
+  ASSERT_TRUE(t2.has_value());
+  EXPECT_EQ(*t2, 45.0);
+  EXPECT_EQ(group, (std::vector<std::size_t>{1}));
 }
 
 // Randomized lockstep: mixed interval families (power-of-two steps give
@@ -293,7 +435,7 @@ INSTANTIATE_TEST_SUITE_P(Populations, TickSchedulerRandomized,
 // closed-form grid count) over a full drain. never_ticks slots are
 // interleaved throughout, and the staggered intervals guarantee both
 // shared grid points within a family and thousands of distinct instants
-// across families (bucket rollover at scale).
+// across families.
 TEST(TickSchedulerScale, HundredThousandSlotsDrainExactly) {
   constexpr std::size_t kSlots = 100000;
   TickScheduler sched;

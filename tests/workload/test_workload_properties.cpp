@@ -1,6 +1,7 @@
 // Property-based tests across trace families and seeds.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "common/stats.hpp"
@@ -67,6 +68,13 @@ struct MmppSpec {
   double r12;
   double r21;
 };
+
+// Names each case by its rates: without a printer gtest hex-dumps the
+// struct into the test name.
+void PrintTo(const MmppSpec& s, std::ostream* os) {
+  *os << "mmpp2(" << s.rate1 << ", " << s.rate2 << ", " << s.r12 << ", "
+      << s.r21 << ")";
+}
 
 class MapMomentProperties : public ::testing::TestWithParam<MmppSpec> {};
 
